@@ -12,11 +12,12 @@ persistent media, GPU tasks on GPUs) and the performance shape
 import pytest
 
 from benchmarks.conftest import once
+from repro import Session, connect
 from repro.apps import build_hospital_job
 from repro.hardware import Cluster
 from repro.hardware.spec import Attachment, ComputeKind
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.runtime import RackDriver, baselines
 
 KiB = 1024
 
@@ -26,7 +27,7 @@ def run_variant(variant: str, seed: int = 42):
                              trace_categories={"memory"})
     rts = baselines.REGISTRY[variant](cluster)
     job = build_hospital_job(n_frames=64, frame_bytes=128 * KiB)
-    stats = rts.run_job(job)
+    stats = Session(rts, RackDriver(rts)).run(job)
     allocations = [
         (str(e.fields["region"]), str(e.fields["device"]))
         for e in cluster.trace.by_name("allocate")
@@ -97,7 +98,7 @@ def test_fig2_streaming_arrival_rate(benchmark, report):
     keep completing at a stable rate — the runtime frees every region, so
     there is no drift."""
     cluster = Cluster.preset("pooled-rack", seed=7)
-    rts = baselines.declarative(cluster)
+    session = connect(cluster=cluster)
 
     def experiment():
         makespans = []
@@ -105,7 +106,7 @@ def test_fig2_streaming_arrival_rate(benchmark, report):
             job = build_hospital_job(n_frames=16)
             # Job names must be unique per submission.
             job.name = f"hospital-{i}"
-            makespans.append(rts.run_job(job).makespan)
+            makespans.append(session.run(job).makespan)
         return makespans
 
     makespans = once(benchmark, experiment)
@@ -115,6 +116,6 @@ def test_fig2_streaming_arrival_rate(benchmark, report):
         table.add_row(i, format_ns(makespan))
     report("fig2_streaming", table.render())
 
-    assert len(rts.memory.live_regions()) == 0
+    assert len(session.rts.memory.live_regions()) == 0
     assert max(makespans) <= min(makespans) * 1.5  # no degradation drift
     assert makespans[-1] == pytest.approx(makespans[1], rel=0.3)

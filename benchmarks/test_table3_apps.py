@@ -8,6 +8,7 @@ for coordination, global scratch where the class exchanges/caches data.
 """
 
 from benchmarks.conftest import once
+from repro import connect
 from repro.apps import (
     build_hospital_job,
     build_query_job,
@@ -18,7 +19,6 @@ from repro.apps import (
 from repro.hardware import Cluster
 from repro.memory.regions import RegionType
 from repro.metrics import Table, format_ns
-from repro.runtime import RuntimeSystem
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -51,8 +51,7 @@ def test_table3_application_mapping(benchmark, report):
         for app_name, builder in APPS.items():
             cluster = Cluster.preset("pooled-rack",
                                      trace_categories={"memory"})
-            rts = RuntimeSystem(cluster)
-            stats = rts.run_job(builder())
+            stats = connect(cluster=cluster).run(builder())
             assert stats.ok, app_name
             results[app_name] = (region_census(cluster.trace), stats)
         return results

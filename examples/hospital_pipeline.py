@@ -11,10 +11,10 @@ landed.
 Run:  python examples/hospital_pipeline.py
 """
 
-from repro import Cluster
+from repro import Cluster, Session
 from repro.apps import build_hospital_job
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.runtime import RackDriver, baselines
 
 KiB = 1024
 
@@ -23,8 +23,9 @@ def run_variant(name: str):
     cluster = Cluster.preset("pooled-rack", seed=42,
                              trace_categories={"memory", "placement"})
     rts = baselines.REGISTRY[name](cluster)
+    session = Session(rts, RackDriver(rts))
     job = build_hospital_job(n_frames=64, frame_bytes=128 * KiB)
-    stats = rts.run_job(job)
+    stats = session.run(job)
     return cluster, stats
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import connect
 from repro.apps.llm import (
     DECODE_POOL,
     PREFILL_POOL,
@@ -11,7 +12,6 @@ from repro.apps.llm import (
 )
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind
-from repro.runtime import RuntimeSystem
 
 
 class TestRequestJob:
@@ -77,8 +77,8 @@ class TestPdPools:
     def test_phases_land_in_their_pools(self):
         cluster = Cluster.preset("pooled-rack", seed=3)
         define_pd_pools(cluster)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(build_request_job(128, 8))
+        session = connect(cluster=cluster)
+        stats = session.run(build_request_job(128, 8))
         assert stats.ok
         assert stats.assignment["prefill"] == "gpu1"
         assert stats.assignment["decode"] == "gpu2"
@@ -86,8 +86,8 @@ class TestPdPools:
     def test_undefined_pools_do_not_constrain(self):
         # Pool-annotated jobs still run on clusters without the split.
         cluster = Cluster.preset("pooled-rack", seed=3)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(build_request_job(128, 8))
+        session = connect(cluster=cluster)
+        stats = session.run(build_request_job(128, 8))
         assert stats.ok
 
 

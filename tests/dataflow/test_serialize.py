@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import connect
 from repro.apps import build_hospital_job, build_query_job, build_training_job
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.dataflow.serialize import (
@@ -11,8 +12,6 @@ from repro.dataflow.serialize import (
     job_to_dict,
     job_to_json,
 )
-from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
 
 
 def assert_jobs_equal(a: Job, b: Job) -> None:
@@ -39,8 +38,8 @@ class TestRoundTrip:
     def test_restored_job_runs_identically(self):
         """A deserialized job produces the same simulated schedule."""
         def run(job):
-            rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=97))
-            stats = rts.run_job(job)
+            session = connect("pooled-rack", seed=97)
+            stats = session.run(job)
             return [(n, s.device, s.started_at, s.finished_at)
                     for n, s in sorted(stats.tasks.items())]
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import connect
 from repro.dataflow import Job, RegionUsage, Task, TaskProperties, WorkSpec
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime import RuntimeSystem
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -91,8 +91,8 @@ class TestRandomJobs:
     @given(job=random_job(), seed=st.integers(0, 100))
     def test_runtime_invariants_hold(self, job, seed):
         cluster = Cluster.preset("pooled-rack", seed=seed)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(job)
+        session = connect(cluster=cluster)
+        stats = session.run(job)
 
         # 1. Completion: every task ran exactly once, successfully.
         assert stats.ok
@@ -106,10 +106,10 @@ class TestRandomJobs:
                     <= stats.tasks[down.name].started_at + 1e-6)
 
         # 3. No leaks anywhere.
-        assert rts.memory.live_regions() == []
+        assert session.rts.memory.live_regions() == []
         for device in cluster.memory.values():
             assert device.used == 0, device.name
-        for allocator in rts.memory.allocators.values():
+        for allocator in session.rts.memory.allocators.values():
             allocator.check_invariants()
             assert allocator.allocated_bytes == 0
 
@@ -136,14 +136,14 @@ class TestRandomJobs:
             import copy
 
             cluster = Cluster.preset("pooled-rack", seed=seed)
-            rts = RuntimeSystem(cluster)
+            session = connect(cluster=cluster)
             job_copy = Job(job.name, global_state_size=job.global_state_size)
             for t in job.topological_order():
                 job_copy.add_task(Task(t.name, work=t.work,
                                        properties=t.properties))
             for u, v in job.graph.edges:
                 job_copy.connect(u, v)
-            stats = rts.run_job(job_copy)
+            stats = session.run(job_copy)
             return [
                 (name, s.device, s.started_at, s.finished_at)
                 for name, s in sorted(stats.tasks.items())

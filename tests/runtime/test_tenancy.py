@@ -3,10 +3,8 @@ preemption (the PR-5 tenancy layer over the rack driver)."""
 
 import pytest
 
+from repro import connect
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
-from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
-from repro.runtime.admission import RackDriver
 from repro.runtime.tenancy import (
     DEFAULT_TENANT,
     Preempted,
@@ -35,9 +33,8 @@ def small_job(name: str, payload=2 * MiB, ops=1e5):
     return factory
 
 
-@pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack", seed=41))
+def rack(**options):
+    return connect("pooled-rack", seed=41, **options)
 
 
 class TestPriorityClass:
@@ -143,69 +140,69 @@ class TestFootprint:
 
 
 class TestWeightedFairQueueing:
-    def test_weights_shape_admission_order(self, rts):
+    def test_weights_shape_admission_order(self):
         registry = TenantRegistry()
         registry.register("heavy", weight=3.0)
         registry.register("light", weight=1.0)
-        driver = RackDriver(rts, max_concurrent=1, tenants=registry)
+        session = rack(max_concurrent=1, tenants=registry)
         arrivals = []
         for i in range(8):
             arrivals.append((0.0, f"h{i}", small_job(f"h{i}"), "heavy"))
         for i in range(4):
             arrivals.append((0.0, f"l{i}", small_job(f"l{i}"), "light"))
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         assert stats.completed == 12
         first8 = sorted(stats.jobs, key=lambda j: j.admission_index)[:8]
         heavy = sum(1 for j in first8 if j.tenant == "heavy")
         # 3:1 weights => ~6 of the first 8 slots go to the heavy tenant.
         assert heavy >= 5
 
-    def test_single_tenant_degenerates_to_fifo(self, rts):
-        driver = RackDriver(rts, max_concurrent=1)
+    def test_single_tenant_degenerates_to_fifo(self):
+        session = rack(max_concurrent=1)
         arrivals = [(i * 1000.0, f"j{i}", small_job(f"j{i}"))
                     for i in range(6)]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         order = sorted(stats.jobs, key=lambda j: j.admission_index)
         assert [j.name for j in order] == [f"j{i}" for i in range(6)]
 
-    def test_strict_priority_jumps_the_backlog(self, rts):
+    def test_strict_priority_jumps_the_backlog(self):
         registry = TenantRegistry()
         registry.register("bulk", priority="best_effort")
         registry.register("web", priority="interactive")
-        driver = RackDriver(rts, max_concurrent=1,
-                            enable_preemption=False, tenants=registry)
+        session = rack(max_concurrent=1,
+                       enable_preemption=False, tenants=registry)
         arrivals = [(0.0, f"bulk{i}", small_job(f"bulk{i}"), "bulk")
                     for i in range(5)]
         arrivals.append((1000.0, "web0", small_job("web0"), "web"))
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         order = sorted(stats.jobs, key=lambda j: j.admission_index)
         # One bulk job was already running; the web job takes the very
         # next slot despite four queued bulk arrivals ahead of it.
         assert order[1] is web
 
-    def test_fifo_policy_ignores_priority(self, rts):
+    def test_fifo_policy_ignores_priority(self):
         registry = TenantRegistry()
         registry.register("bulk", priority="best_effort")
         registry.register("web", priority="interactive")
-        driver = RackDriver(rts, max_concurrent=1, policy="fifo",
-                            enable_preemption=False, tenants=registry)
+        session = rack(max_concurrent=1, policy="fifo",
+                       enable_preemption=False, tenants=registry)
         arrivals = [(0.0, f"bulk{i}", small_job(f"bulk{i}"), "bulk")
                     for i in range(5)]
         arrivals.append((1000.0, "web0", small_job("web0"), "web"))
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         assert web.admission_index == 5  # strict arrival order
 
 
 class TestQuotas:
-    def test_max_running_capped(self, rts):
+    def test_max_running_capped(self):
         registry = TenantRegistry()
         registry.register("capped", quota=TenantQuota(max_running=1))
-        driver = RackDriver(rts, max_concurrent=8, tenants=registry)
+        session = rack(max_concurrent=8, tenants=registry)
         arrivals = [(0.0, f"j{i}", small_job(f"j{i}"), "capped")
                     for i in range(4)]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         assert stats.completed == 4
         assert registry.get("capped").quota_deferrals > 0
         # With the cap the jobs serialized: each admission follows the
@@ -214,28 +211,28 @@ class TestQuotas:
         for prev, cur in zip(order, order[1:]):
             assert cur.admitted_at >= prev.finished_at
 
-    def test_impossible_memory_quota_sheds(self, rts):
+    def test_impossible_memory_quota_sheds(self):
         registry = TenantRegistry()
         registry.register("tiny", quota=TenantQuota(memory_bytes=1 * KiB))
-        driver = RackDriver(rts, max_concurrent=8, tenants=registry)
-        handle = driver.submit_job("huge", small_job("huge", payload=8 * MiB),
-                                   tenant="tiny")
-        rts.cluster.engine.run()
+        session = rack(max_concurrent=8, tenants=registry)
+        handle = session.driver.submit_job(
+            "huge", small_job("huge", payload=8 * MiB), tenant="tiny")
+        session.cluster.engine.run()
         assert handle.shed
         assert registry.get("tiny").shed == 1
 
-    def test_compute_share_throttles_followup(self, rts):
+    def test_compute_share_throttles_followup(self):
         registry = TenantRegistry()
         registry.register("metered", quota=TenantQuota(compute_share=0.05))
-        driver = RackDriver(rts, max_concurrent=8, tenants=registry,
-                            quota_retry_ns=10_000.0)
+        session = rack(max_concurrent=8, tenants=registry,
+                       quota_retry_ns=10_000.0)
         # The bucket is debited at completion, so arrive after the
         # first (heavy) job has finished and booked its debt.
         arrivals = [
             (0.0, "j0", small_job("j0", ops=1e6), "metered"),
             (500_000.0, "j1", small_job("j1"), "metered"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         assert stats.completed == 2
         metered = registry.get("metered")
         assert metered.quota_deferrals > 0
@@ -243,10 +240,10 @@ class TestQuotas:
         # Job 2 had to wait for the bucket to amortize job 1's debt.
         assert order[1].admitted_at > order[1].arrived_at
 
-    def test_tenant_report_shape(self, rts):
-        driver = RackDriver(rts, max_concurrent=2)
-        driver._run_trace([(0.0, "j0", small_job("j0"))])
-        report = driver.tenant_report()
+    def test_tenant_report_shape(self):
+        session = rack(max_concurrent=2)
+        session.run_trace([(0.0, "j0", small_job("j0"))])
+        report = session.tenant_report()
         assert DEFAULT_TENANT in report
         row = report[DEFAULT_TENANT]
         assert row["submitted"] == row["admitted"] == row["completed"] == 1
@@ -261,14 +258,14 @@ class TestPreemption:
         registry.register("web", weight=2.0, priority="interactive")
         return registry
 
-    def test_interactive_arrival_preempts_best_effort(self, rts):
+    def test_interactive_arrival_preempts_best_effort(self):
         registry = self._registry()
-        driver = RackDriver(rts, max_concurrent=1, tenants=registry)
+        session = rack(max_concurrent=1, tenants=registry)
         arrivals = [
             (0.0, "bulk0", small_job("bulk0", ops=5e6), "bulk"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         assert stats.completed == 2  # the victim still finishes
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         web = next(j for j in stats.jobs if j.name == "web0")
@@ -281,44 +278,44 @@ class TestPreemption:
         assert web.admitted_at == pytest.approx(50_000.0)
         assert web.finished_at < bulk.finished_at
 
-    def test_preemption_disabled_means_waiting(self, rts):
+    def test_preemption_disabled_means_waiting(self):
         registry = self._registry()
-        driver = RackDriver(rts, max_concurrent=1, tenants=registry,
-                            enable_preemption=False)
+        session = rack(max_concurrent=1, tenants=registry,
+                       enable_preemption=False)
         arrivals = [
             (0.0, "bulk0", small_job("bulk0", ops=5e6), "bulk"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         assert stats.preemptions == 0
         assert web.admitted_at >= bulk.finished_at
 
-    def test_victim_preemptions_bounded(self, rts):
+    def test_victim_preemptions_bounded(self):
         registry = self._registry()
-        driver = RackDriver(rts, max_concurrent=1, tenants=registry,
-                            max_preemptions_per_job=1)
+        session = rack(max_concurrent=1, tenants=registry,
+                       max_preemptions_per_job=1)
         arrivals = [(0.0, "bulk0", small_job("bulk0", ops=2e7), "bulk")]
         arrivals += [
             (30_000.0 * (i + 1), f"web{i}", small_job(f"web{i}"), "web")
             for i in range(4)
         ]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         assert stats.completed == 5
         assert bulk.preemptions <= 1
 
-    def test_batch_never_preempted(self, rts):
+    def test_batch_never_preempted(self):
         registry = TenantRegistry()
         registry.register("steady", priority="batch")
         registry.register("web", priority="interactive")
-        driver = RackDriver(rts, max_concurrent=1, tenants=registry)
+        session = rack(max_concurrent=1, tenants=registry)
         arrivals = [
             (0.0, "steady0", small_job("steady0", ops=5e6), "steady"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = session.run_trace(arrivals)
         assert stats.preemptions == 0
         web = next(j for j in stats.jobs if j.name == "web0")
         steady = next(j for j in stats.jobs if j.name == "steady0")
