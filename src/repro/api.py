@@ -1,13 +1,11 @@
 """The one front door: ``connect()`` a rack, ``submit``/``run`` jobs.
 
-Before this module the repo had four divergent submission entry points
-(``RuntimeSystem.submit``/``run_job``/``run_jobs`` and
-``RackDriver.run_trace``), none of which knew about tenants.
 :func:`connect` builds the whole stack — cluster preset, runtime
-system, QoS admission — and returns a :class:`Session` whose
-``submit``/``run`` are the supported way in.  Everything lands in the
-admission layer, so weighted-fair queueing, quotas, priority classes,
-and preemption apply uniformly::
+system, QoS admission — and returns a :class:`Session` (or, for
+``racks=N``, a :class:`FederatedSession`) whose ``submit``/``run`` are
+the only way a job enters.  Everything lands in the admission layer,
+so weighted-fair queueing, quotas, priority classes, and preemption
+apply uniformly::
 
     import repro.api as api
 
@@ -20,8 +18,8 @@ and preemption apply uniformly::
     stats = session.run()                          # drive to completion
     print(session.dashboard())
 
-The old entry points keep working behind once-per-process
-``DeprecationWarning`` shims (see :mod:`repro._compat`).
+A runtime built by hand (``repro.runtime.baselines``, say) enters the
+same way: ``Session(rts, RackDriver(rts))``.
 """
 
 from __future__ import annotations

@@ -1,85 +1,37 @@
 """Session plumbing shared by the physical app executors.
 
 The ``*_exec`` drivers (``LinearTrainer``, ``JacobiSolver``,
-``PhysicalQueryEngine``, ``StreamExecutor``, ``LLMEngine``) historically
-took a bare :class:`~repro.runtime.rts.RuntimeSystem` and called its
-private submission path directly — bypassing admission, tenancy, and
-QoS.  They now take a :class:`repro.api.Session` (the facade's front
-door) and submit through it; the bare-``RuntimeSystem`` spelling keeps
-working behind the once-per-process :class:`DeprecationWarning` shim
-pattern of :mod:`repro._compat`.
+``PhysicalQueryEngine``, ``StreamExecutor``, ``LLMEngine``) take a
+:class:`repro.api.Session` first and submit through it, so their jobs
+enter through admission, tenancy and QoS like any other job.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro import _compat
-
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import Session
     from repro.dataflow.graph import Job
     from repro.runtime.rts import JobStats
 
 
-def resolve(driver_name: str, session, rts=None):
-    """Normalize an executor's first argument to ``(session, rts)``.
-
-    Accepts a :class:`repro.api.Session` (preferred), or a
-    :class:`~repro.runtime.rts.RuntimeSystem` — positionally or via the
-    legacy ``rts=`` keyword — which warns once per process and leaves
-    the session slot ``None`` (jobs then bypass admission, the
-    deprecated behaviour).
-    """
+def resolve(driver_name: str, session) -> "Session":
+    """Check that an executor was given a :class:`repro.api.Session`."""
     from repro.api import Session
-    from repro.runtime.rts import RuntimeSystem
 
-    if session is not None and rts is not None:
+    if not isinstance(session, Session):
         raise TypeError(
-            f"{driver_name}: pass either a Session or rts=, not both"
+            f"{driver_name} needs a repro.api Session (from connect(...)); "
+            f"got {type(session).__name__}"
         )
-    candidate = session if session is not None else rts
-    if isinstance(candidate, Session):
-        return candidate, candidate.rts
-    if isinstance(candidate, RuntimeSystem):
-        _compat.warn_once(
-            f"apps.{driver_name}.rts",
-            f"repro.apps.{driver_name}(RuntimeSystem) is deprecated; "
-            f"construct it with a repro.api.connect(...) Session so its "
-            f"jobs enter through admission/tenancy",
-            stacklevel=4,
-        )
-        return None, candidate
-    raise TypeError(
-        f"{driver_name} needs a repro.api Session (from connect(...)); "
-        f"got {type(candidate).__name__}"
-    )
+    return session
 
 
-def run_job(
-    session, rts, job: "Job",
-    *,
-    tenant: typing.Optional[str] = None,
-    priority=None,
-) -> "JobStats":
-    """Submit one job and drive the clock to its completion.
-
-    Session-bound executors go through QoS admission (weighted-fair
-    queueing, quotas, preemption all apply); legacy ``rts``-bound ones
-    keep the old direct path.  Raises the job's error on failure.
-    """
-    if session is not None:
-        handle = session.submit(job, tenant=tenant, priority=priority)
-        rts.cluster.engine.run()
-        if handle.shed:
-            raise RuntimeError(f"job {job.name!r} was shed by admission")
-        execution = handle.execution
-        if execution is None:
-            raise RuntimeError(
-                f"job {job.name!r} was never admitted (queued behind a "
-                f"quota?); check session.stats"
-            )
-        if execution.stats.error is not None:
-            raise execution.stats.error
-        return execution.stats
-    execution = rts._submit(job)
-    return rts.cluster.engine.run(until=execution.done)
+def run_job(session: "Session", job: "Job") -> "JobStats":
+    """Run one job through the session's QoS admission to completion;
+    raises the job's error on failure."""
+    stats = session.run(job)
+    if stats is None:
+        raise RuntimeError(f"job {job.name!r} was shed by admission")
+    return stats

@@ -30,7 +30,7 @@ from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime.rts import JobStats, RuntimeSystem
+from repro.runtime.rts import JobStats
 from repro.apps import _session
 
 KiB = 1024
@@ -106,12 +106,10 @@ def _nbytes(value) -> int:
 
 
 class PhysicalQueryEngine:
-    """Compiles plans to jobs and runs them on a RuntimeSystem."""
+    """Compiles plans to jobs and runs them through a Session."""
 
-    def __init__(self, session=None, rts: typing.Optional[RuntimeSystem] = None):
-        self.session, self.rts = _session.resolve(
-            "PhysicalQueryEngine", session, rts,
-        )
+    def __init__(self, session):
+        self.session = _session.resolve("PhysicalQueryEngine", session)
         self.db = MiniDB()
         self._query_counter = 0
 
@@ -150,7 +148,7 @@ class PhysicalQueryEngine:
     def execute(self, plan: PlanNode) -> typing.Tuple[object, JobStats]:
         """Compile, run, and return (real result, simulated stats)."""
         job, results = self.compile(plan)
-        stats = _session.run_job(self.session, self.rts, job)
+        stats = _session.run_job(self.session, job)
         return results["__root__"], stats
 
     # -- operator tasks ------------------------------------------------------

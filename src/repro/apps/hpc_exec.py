@@ -28,7 +28,7 @@ from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime.rts import JobStats, RuntimeSystem
+from repro.runtime.rts import JobStats
 from repro.apps import _session
 
 KiB = 1024
@@ -57,15 +57,14 @@ class JacobiSolver:
 
     def __init__(
         self,
-        session=None,
+        session,
         n_workers: int = 4,
         iterations: int = 10,
         tolerance: float = 1e-4,
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
         if n_workers < 1 or iterations < 1 or tolerance <= 0:
             raise ValueError("invalid solver parameters")
-        self.session, self.rts = _session.resolve("JacobiSolver", session, rts)
+        self.session = _session.resolve("JacobiSolver", session)
         self.n_workers = n_workers
         self.iterations = iterations
         self.tolerance = tolerance
@@ -184,7 +183,7 @@ class JacobiSolver:
             previous = barrier
 
         job.validate()
-        stats = _session.run_job(self.session, self.rts, job)
+        stats = _session.run_job(self.session, job)
         return SolveResult(
             field=state["grid"],
             residuals=state["residuals"],

@@ -38,7 +38,6 @@ from repro.memory.manager import PlacementError
 from repro.memory.regions import RegionType, region_properties
 from repro.memory.sharing import SharedRegionCache, SharedRegionError
 from repro.runtime.placement import PlacementRequest
-from repro.runtime.rts import RuntimeSystem
 from repro.workloads.llm import LLMRequest
 
 KiB = 1024
@@ -181,7 +180,7 @@ class LLMEngine:
 
     def __init__(
         self,
-        session=None,
+        session,
         *,
         disaggregate: bool = True,
         prefix_caching: bool = True,
@@ -189,13 +188,13 @@ class LLMEngine:
         kv_bytes_per_token: int = 2 * KiB,
         weight_bytes: int = 4 * MiB,
         ops_per_token: float = 4_000.0,
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
         if kv_bytes_per_token < 1 or weight_bytes < 1 or ops_per_token <= 0:
             raise ValueError("invalid model-cost parameters")
         if prefix_capacity_blocks is not None and prefix_capacity_blocks < 1:
             raise ValueError("prefix_capacity_blocks must be >= 1 or None")
-        self.session, self.rts = _session.resolve("LLMEngine", session, rts)
+        self.session = _session.resolve("LLMEngine", session)
+        self.rts = self.session.rts
         self.disaggregate = disaggregate
         self.prefix_caching = prefix_caching
         self.prefix_capacity_blocks = prefix_capacity_blocks
@@ -362,8 +361,7 @@ class LLMEngine:
         independent of completions — the tail-latency-honest setup);
         ``mode="closed"`` ignores them and keeps ``concurrency``
         requests in flight.  Requests go through the session's QoS
-        admission under their own tenants; without a session (the
-        deprecated bare-``rts`` spelling) they bypass admission.
+        admission under their own tenants.
         """
         if mode not in ("open", "closed"):
             raise ValueError(f"unknown serve mode {mode!r}")
@@ -387,32 +385,15 @@ class LLMEngine:
             records.append(record)
             state["dispatched"] += 1
             acquired: typing.List[tuple] = []
-            if self.session is not None:
-                admitted = self.session.driver.submit_job(
-                    req.name,
-                    lambda: self._materialize(req, record, acquired),
-                    tenant=req.tenant,
-                )
-                engine.process(
-                    waiter(record, acquired, admitted),
-                    name=f"llm-wait-{req.index}",
-                )
-            else:
-                execution = self.rts._submit(
-                    self._materialize(req, record, acquired)
-                )
-                execution.done.add_callback(
-                    lambda event: finish_legacy(record, acquired, execution,
-                                                event)
-                )
-
-        def finish_legacy(record, acquired, execution, event):
-            if not event._ok:
-                event.defuse()
-            fake = _LegacyHandle(execution)
-            self._settle(record, acquired, fake)
-            state["settled"] += 1
-            feed()
+            admitted = self.session.driver.submit_job(
+                req.name,
+                lambda: self._materialize(req, record, acquired),
+                tenant=req.tenant,
+            )
+            engine.process(
+                waiter(record, acquired, admitted),
+                name=f"llm-wait-{req.index}",
+            )
 
         def waiter(record, acquired, admitted):
             while not admitted.shed and admitted.finished_at is None:
@@ -444,10 +425,7 @@ class LLMEngine:
             while pending and state["dispatched"] - state["settled"] < concurrency:
                 dispatch(pending.pop(0))
 
-        interval = (
-            self.session.driver.sample_interval_ns
-            if self.session is not None else 100_000.0
-        )
+        interval = self.session.driver.sample_interval_ns
         sampling = {"on": telem is not None}
         if sampling["on"]:
             def sampler():
@@ -493,15 +471,6 @@ class LLMEngine:
         freed = self.cache.drain()
         self.trie = PrefixTrie()
         return freed
-
-
-class _LegacyHandle:
-    """Adapter so ``_settle`` can read a bare execution like a handle."""
-
-    shed = False
-
-    def __init__(self, execution):
-        self.execution = execution
 
 
 __all__ = ["LLMEngine", "RequestRecord", "ServeResult"]

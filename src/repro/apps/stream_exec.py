@@ -16,7 +16,6 @@ import dataclasses
 import typing
 
 from repro.dataflow.graph import Job
-from repro.runtime.rts import RuntimeSystem
 from repro.apps import _session
 
 
@@ -84,21 +83,17 @@ class StreamExecutor:
 
     def __init__(
         self,
-        session=None,
-        template: typing.Optional[typing.Callable[[int], Job]] = None,
+        session,
+        template: typing.Callable[[int], Job],
         max_in_flight: int = 2,
         backpressure: str = "queue",
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
-        if template is None:
-            raise TypeError("StreamExecutor needs a template callable")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if backpressure not in ("queue", "drop"):
             raise ValueError(f"unknown backpressure policy {backpressure!r}")
-        self.session, self.rts = _session.resolve(
-            "StreamExecutor", session, rts,
-        )
+        self.session = _session.resolve("StreamExecutor", session)
+        self.rts = self.session.rts
         self.template = template
         self.max_in_flight = max_in_flight
         self.backpressure = backpressure
@@ -112,14 +107,8 @@ class StreamExecutor:
         engine = self.rts.cluster.engine
         record.started_at = engine.now
         self._in_flight += 1
-        if self.session is not None:
-            admitted = self.session.submit(self.template(record.index))
-            self._track(record, admitted)
-            return
-        execution = self.rts._submit(self.template(record.index))
-        execution.done.add_callback(
-            lambda event, rec=record: self._on_done(rec, event)
-        )
+        admitted = self.session.submit(self.template(record.index))
+        self._track(record, admitted)
 
     def _track(self, record: WindowRecord, admitted) -> None:
         """Finish the window's bookkeeping once admission runs its job.

@@ -1,15 +1,11 @@
-"""Tests for the unified submission API: connect()/Session, and the
-deprecation shims that keep the old entry points alive."""
-
-import warnings
+"""Tests for the unified submission API: connect()/Session."""
 
 import pytest
 
-from repro import _compat, connect
+from repro import connect
 from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.hardware import Cluster
-from repro.runtime import RackDriver, RuntimeSystem
 from repro.runtime.admission import RackStats
 from repro.runtime.rts import JobStats
 
@@ -218,54 +214,3 @@ class TestSessionRun:
         session.run(pipeline())
         text = session.dashboard()
         assert "Jobs" in text
-
-
-class TestDeprecationShims:
-    """Every legacy entry point warns exactly once and still works."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_warning_registry(self):
-        _compat.reset_warnings()
-        yield
-        _compat.reset_warnings()
-
-    @staticmethod
-    def _rts():
-        return RuntimeSystem(Cluster.preset("pooled-rack"))
-
-    def _assert_warns_once(self, call):
-        with pytest.warns(DeprecationWarning, match="^repro\\.") as record:
-            first = call()
-        assert len(record) == 1
-        with warnings.catch_warnings(record=True) as silent:
-            warnings.simplefilter("always")
-            call()
-        assert not silent  # second use is quiet
-        return first
-
-    def test_run_job_warns_once_and_forwards(self):
-        rts = self._rts()
-        stats = self._assert_warns_once(lambda: rts.run_job(pipeline()))
-        assert stats.ok
-
-    def test_run_jobs_warns_once_and_forwards(self):
-        rts = self._rts()
-        results = self._assert_warns_once(
-            lambda: rts.run_jobs([pipeline("p0"), pipeline("p1")]))
-        assert [s.job_name for s in results] == ["p0", "p1"]
-
-    def test_submit_warns_once_and_forwards(self):
-        rts = self._rts()
-        execution = self._assert_warns_once(lambda: rts.submit(pipeline()))
-        rts.cluster.engine.run()
-        assert execution.stats.ok
-
-    def test_run_trace_warns_once_and_forwards(self):
-        # A fresh driver per call: run_trace drains one arrival list,
-        # so re-running it on a used driver would never terminate.
-        def call():
-            driver = RackDriver(self._rts(), max_concurrent=2)
-            return driver.run_trace([(0.0, "j0", lambda: pipeline("j0"))])
-
-        stats = self._assert_warns_once(call)
-        assert stats.completed >= 1

@@ -86,7 +86,7 @@ def test_version_exposed():
 
 # Frozen snapshots of the supported API surface.  A failure here means
 # the public contract changed: additions belong in the snapshot (and in
-# the README), removals need a deprecation shim first.
+# the README), removals are a breaking change and go in CHANGES.md.
 API_SURFACE = {
     "repro": {
         "AccessMode", "AccessPattern", "BandwidthClass", "Cluster",
@@ -147,13 +147,61 @@ def test_api_surface_snapshot(module_name):
     assert set(module.__all__) == API_SURFACE[module_name]
 
 
-def test_deprecated_entry_points_still_exist():
-    """The shims forward, so the legacy spelling must stay importable."""
-    from repro.runtime import RackDriver, RuntimeSystem
+@pytest.mark.parametrize("owner, name", [
+    ("RuntimeSystem", "submit"),
+    ("RuntimeSystem", "run_job"),
+    ("RuntimeSystem", "run_jobs"),
+    ("RackDriver", "run_trace"),
+])
+def test_removed_entry_points_are_gone(owner, name):
+    """Jobs enter through a Session only: the old submission spellings
+    on the runtime and the rack driver are gone."""
+    import repro.runtime
 
-    for cls, names in [
-        (RuntimeSystem, ("submit", "run_job", "run_jobs")),
-        (RackDriver, ("run_trace",)),
-    ]:
-        for name in names:
-            assert callable(getattr(cls, name)), f"{cls.__name__}.{name}"
+    assert not hasattr(getattr(repro.runtime, owner), name)
+
+
+def test_engine_has_one_queue():
+    """No queue selector: the engine takes a start time and nothing else,
+    and its module defines no queue classes besides the engine."""
+    from repro.sim import engine
+
+    assert list(inspect.signature(engine.Engine).parameters) == ["start"]
+    classes = {
+        name for name, obj in vars(engine).items()
+        if inspect.isclass(obj) and obj.__module__ == engine.__name__
+    }
+    assert classes == {"EmptySchedule", "Engine"}
+
+
+def test_no_private_top_level_modules():
+    """The deprecation plumbing module went with the shims it served."""
+    top_level = {info.name for info in pkgutil.iter_modules(repro.__path__)}
+    assert {name for name in top_level if name.startswith("_")} == {
+        "__main__"
+    }
+
+
+def _bare_runtime():
+    from repro.hardware import Cluster
+    from repro.runtime import RuntimeSystem
+
+    return RuntimeSystem(Cluster.preset("pooled-rack"))
+
+
+@pytest.mark.parametrize("executor", [
+    "JacobiSolver", "LLMEngine", "LinearTrainer", "PhysicalQueryEngine",
+    "StreamExecutor",
+])
+def test_executors_take_a_session_not_a_bare_runtime(executor):
+    """Each app executor takes a Session first and has no ``rts=``; a
+    bare RuntimeSystem is refused with a pointer to ``connect(...)``."""
+    import repro.apps
+
+    cls = getattr(repro.apps, executor)
+    params = list(inspect.signature(cls).parameters)
+    assert params[0] == "session"
+    assert "rts" not in params
+    kwargs = {"template": lambda i: None} if executor == "StreamExecutor" else {}
+    with pytest.raises(TypeError, match=r"connect\(\.\.\.\)"):
+        cls(_bare_runtime(), **kwargs)
