@@ -78,9 +78,6 @@ class StreamStats:
 class StreamExecutor:
     """Pipelined window-at-a-time execution of a job template."""
 
-    #: How often a queued-behind-admission window checks for its slot.
-    ADMISSION_POLL_NS = 2_000.0
-
     def __init__(
         self,
         session,
@@ -111,33 +108,11 @@ class StreamExecutor:
         self._track(record, admitted)
 
     def _track(self, record: WindowRecord, admitted) -> None:
-        """Finish the window's bookkeeping once admission runs its job.
-
-        Admission pumps synchronously, so the common case attaches the
-        done-callback immediately; a window queued behind a quota or the
-        concurrency gate is watched by a cheap polling process instead.
-        """
-        engine = self.rts.cluster.engine
-        if admitted.shed:
-            self._settle(record, ok=False)
-            return
-        if admitted.execution is not None:
-            admitted.execution.done.add_callback(
-                lambda event, rec=record: self._on_done(rec, event)
-            )
-            return
-
-        def watcher():
-            while admitted.execution is None and not admitted.shed:
-                yield engine.timeout(self.ADMISSION_POLL_NS)
-            if admitted.shed:
-                self._settle(record, ok=False)
-            else:
-                admitted.execution.done.add_callback(
-                    lambda event, rec=record: self._on_done(rec, event)
-                )
-
-        engine.process(watcher(), name=f"stream-admit-{record.index}")
+        """Finish the window's bookkeeping when admission settles its
+        job: finished either way, or shed before it ran."""
+        admitted.settled.add_callback(
+            lambda event: self._settle(record, ok=admitted.completed)
+        )
 
     def _settle(self, record: WindowRecord, ok: bool) -> None:
         self._in_flight -= 1
@@ -147,11 +122,6 @@ class StreamExecutor:
             record.dropped = True
         while self._queue and self._in_flight < self.max_in_flight:
             self._launch(self._queue.pop(0))
-
-    def _on_done(self, record: WindowRecord, event) -> None:
-        if not event._ok:
-            event.defuse()
-        self._settle(record, ok=event._ok)
 
     def _on_arrival(self, record: WindowRecord) -> None:
         self.stats.windows.append(record)

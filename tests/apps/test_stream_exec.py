@@ -5,6 +5,7 @@ import pytest
 from repro.apps import build_hospital_job
 from repro.apps.stream_exec import StreamExecutor, StreamStats, WindowRecord
 from repro.api import connect
+from repro.dataflow import Job, Task, WorkSpec
 
 KiB = 1024
 
@@ -61,6 +62,26 @@ class TestStreamExecutor:
             hospital_template, max_in_flight=1, backpressure="queue")
         q_stats = queueing.run(n_windows=12, interval_ns=20_000.0)
         assert max_latency < max(w.latency for w in q_stats.windows if w.completed)
+
+    def test_deferred_admission_of_a_short_job_settles(self):
+        """A window queued behind the admission gate whose job runs for
+        a nanosecond settles at its finish, not at a later poll."""
+        def tiny(index):
+            job = Job(f"tiny-{index}")
+            job.add_task(Task("t", work=WorkSpec(ops=10)))
+            return job
+
+        session = connect("pooled-rack", seed=5, max_concurrent=1)
+        executor = StreamExecutor(session, tiny, max_in_flight=3)
+        stats = executor.run(n_windows=6, interval_ns=0.5)
+        assert stats.completed == 6
+        handles = {job.name: job for job in session.driver.stats.jobs}
+        deferred = 0
+        for window in stats.windows:
+            handle = handles[f"tiny-{window.index}"]
+            deferred += handle.admitted_at > window.started_at
+            assert window.finished_at == handle.finished_at
+        assert deferred > 0
 
     def test_percentiles(self):
         stats = StreamStats()
