@@ -318,13 +318,31 @@ class WindowedSeries:
         span intersects the interval.  For ``level`` series the total is
         the time-weighted integral instead.
         """
+        cur = self._cur
+        if cur is None:
+            return 0.0, 0
+        closed = self.closed
+        n = len(closed)
+        width = self.width
+        # Retained windows are contiguous by index (gaps are filled), so
+        # position ``pos`` holds window ``first + pos``: bisect for the
+        # first one ending after ``since`` instead of scanning them all.
+        first = closed[0].index if n else cur.index
+        lo, hi = 0, n + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (first + mid) * width + width <= since:
+                lo = mid + 1
+            else:
+                hi = mid
+        level = self.kind == "level"
         total = 0.0
         count = 0
-        for window in self.windows():
-            start = window.index * self.width
-            if start + self.width <= since or start > until:
-                continue
-            total += window.weighted if self.kind == "level" else window.total
+        for pos in range(lo, n + 1):
+            window = closed[pos] if pos < n else cur
+            if window.index * width > until:
+                break
+            total += window.weighted if level else window.total
             count += window.count
         return total, count
 
