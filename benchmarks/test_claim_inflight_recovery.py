@@ -23,7 +23,7 @@ Two scenarios:
 import pytest
 
 from benchmarks.conftest import once
-from repro import connect
+from repro import Session, connect
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
@@ -31,6 +31,7 @@ from repro.metrics import Table, format_ns
 from repro.runtime import (
     HealthMonitor,
     JobAbandoned,
+    RackDriver,
     RecoveryPolicy,
     ResilientRuntime,
     RuntimeSystem,
@@ -81,7 +82,9 @@ def run_storm(seed: int, horizon: float, with_recovery: bool) -> dict:
         rts.backups = OutputBackupStore(cluster, rts.memory)
     else:
         rts = RuntimeSystem(cluster)
-    resilient = ResilientRuntime(rts, max_attempts=4)
+    resilient = ResilientRuntime(
+        Session(rts, RackDriver(rts)), max_attempts=4
+    )
 
     # The same seeded storm for both modes (streams derive from the
     # cluster seed): crashes take memory nodes out mid-run, planned

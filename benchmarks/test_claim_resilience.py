@@ -75,7 +75,7 @@ def run_mode(mode: str):
             return {"outcome": "completed", "total": cluster.engine.now}
         except RuntimeError:
             return {"outcome": "job lost", "total": cluster.engine.now}
-    resilient = ResilientRuntime(session.rts, max_attempts=3)
+    resilient = ResilientRuntime(session, max_attempts=3)
     checkpointed = mode == "checkpointed retry"
     stats = resilient.run_job(build_pipeline(checkpointed, fuse))
     return {

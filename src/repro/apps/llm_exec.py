@@ -207,11 +207,6 @@ class LLMEngine:
 
     # -- prefix-cache plumbing --------------------------------------------
 
-    def _telemetry(self):
-        cluster = self.rts.cluster
-        obs = getattr(cluster, "obs", None)
-        return getattr(obs, "telemetry", None)
-
     def _observers(self) -> typing.Tuple[str, ...]:
         """Devices that read cached KV blocks: the decode pool if the
         cluster defines one, else every accelerator, else everything."""
@@ -247,11 +242,10 @@ class LLMEngine:
                 acquired.append(key)
         record.hit_blocks = hit
         record.cached_tokens = min(hit * req.block_tokens, req.prompt_tokens)
-        telem = self._telemetry()
-        if telem is not None:
-            telem.add("llm.prefix_hit_blocks", engine.now, float(hit))
-            telem.add("llm.prefix_miss_blocks", engine.now,
-                      float(len(req.blocks) - hit))
+        telem = self.rts.cluster.obs.telemetry
+        telem.add("llm.prefix_hit_blocks", engine.now, float(hit))
+        telem.add("llm.prefix_miss_blocks", engine.now,
+                  float(len(req.blocks) - hit))
         return build_request_job(
             req.prompt_tokens, req.output_tokens,
             cached_prefix_tokens=record.cached_tokens,
@@ -327,7 +321,7 @@ class LLMEngine:
         record.kv_bytes_moved = stats.bytes_copied
         prefill = stats.tasks.get("prefill")
         decode = stats.tasks.get("decode")
-        telem = self._telemetry()
+        telem = self.rts.cluster.obs.telemetry
         if prefill is not None and prefill.finished_at is not None:
             record.ttft_ns = prefill.finished_at - record.arrived_at
             if decode is not None and decode.ready_at is not None:
@@ -336,15 +330,14 @@ class LLMEngine:
                 )
                 if decode.finished_at is not None:
                     record.decode_ns = decode.finished_at - decode.ready_at
-        if telem is not None:
-            telem.add("llm.kv_bytes_moved", engine.now, stats.bytes_copied)
-            if record.ttft_ns is not None:
-                telem.record("llm.ttft_ns", engine.now, record.ttft_ns)
-            if record.transfer_stall_ns is not None:
-                telem.record("llm.transfer_stall_ns", engine.now,
-                             record.transfer_stall_ns)
-            if record.decode_ns is not None:
-                telem.record("llm.decode_ns", engine.now, record.decode_ns)
+        telem.add("llm.kv_bytes_moved", engine.now, stats.bytes_copied)
+        if record.ttft_ns is not None:
+            telem.record("llm.ttft_ns", engine.now, record.ttft_ns)
+        if record.transfer_stall_ns is not None:
+            telem.record("llm.transfer_stall_ns", engine.now,
+                         record.transfer_stall_ns)
+        if record.decode_ns is not None:
+            telem.record("llm.decode_ns", engine.now, record.decode_ns)
         if self.prefix_caching and record.request.blocks:
             self._insert_blocks(record.request, record.hit_blocks)
 
@@ -375,10 +368,10 @@ class LLMEngine:
         ordered = sorted(requests, key=lambda r: (r.arrival_ns, r.index))
         records: typing.List[RequestRecord] = []
         state = {"settled": 0, "dispatched": 0, "last_settle": engine.now}
-        telem = self._telemetry()
-        if telem is not None:
-            telem.watch("llm.prefix_pinned_bytes",
-                        self.cache.pinned_bytes, kind="level")
+        all_settled = engine.event()
+        telem = self.rts.cluster.obs.telemetry
+        telem.watch("llm.prefix_pinned_bytes",
+                    self.cache.pinned_bytes, kind="level")
         start_hits = self.cache.hits
         start_ns = engine.now
 
@@ -400,6 +393,8 @@ class LLMEngine:
             self._settle(record, acquired, admitted)
             state["settled"] += 1
             state["last_settle"] = engine.now
+            if state["settled"] == len(ordered):
+                all_settled.succeed()
             feed()
 
         pending = list(ordered)
@@ -425,25 +420,8 @@ class LLMEngine:
             while pending and state["dispatched"] - state["settled"] < concurrency:
                 dispatch(pending.pop(0))
 
-        interval = self.session.driver.sample_interval_ns
-        sampling = {"on": telem is not None}
-        if sampling["on"]:
-            def sampler():
-                while sampling["on"]:
-                    telem.poll(engine.now)
-                    yield engine.timeout(interval)
-
-            sampler_proc = engine.process(sampler(), name="llm-sampler")
-        # Step the clock until every request has settled; the sampler
-        # alone must not keep the run alive (mirrors RackDriver).
-        while state["settled"] < len(ordered):
-            engine.run(until=engine.now + interval)
-        if sampling["on"]:
-            sampling["on"] = False
-            sampler_proc.kill()
-        engine.run()
-        if telem is not None:
-            telem.poll(engine.now)
+        self.session.driver.drive(all_settled)
+        telem.poll(engine.now)
         return ServeResult(
             records=records,
             horizon_ns=state["last_settle"] - start_ns,

@@ -39,6 +39,7 @@ import typing
 from repro.federation.overload import OverloadDetector
 from repro.federation.rack import Rack
 from repro.federation.registry import RackRegistry, RackState
+from repro.sim.events import Event
 
 
 @dataclasses.dataclass
@@ -59,6 +60,12 @@ class RoutedJob:
     #: The rack-level admission handle.  Filled at route time for local
     #: jobs, after the simulated fetch for cross-rack ones.
     admitted: typing.Any = dataclasses.field(default=None, repr=False)
+    #: Succeeds with this handle, once: at a front-door shed, or when
+    #: the landed job's ``admitted.settled`` fires (so a job still in a
+    #: cross-rack fetch has not settled).
+    settled: typing.Optional[Event] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def accounted(self) -> bool:
@@ -254,7 +261,6 @@ class Router:
         self._residency: typing.Dict[str, typing.Set[str]] = {}
         #: dataset key -> replica size in bytes
         self._dataset_bytes: typing.Dict[str, float] = {}
-        self._fetches_in_flight = 0
         bind = getattr(self.policy, "bind_router", None)
         if bind is not None:
             bind(self)
@@ -280,10 +286,6 @@ class Router:
             return set()
         return set(self._residency.get(key, ()))
 
-    @property
-    def fetches_in_flight(self) -> int:
-        return self._fetches_in_flight
-
     # -- routing -----------------------------------------------------------
 
     def route(
@@ -303,7 +305,9 @@ class Router:
         dataset fetch, so ``routed.admitted`` fills in later on the
         shared clock.
         """
-        routed = RoutedJob(name=name, session=session)
+        routed = RoutedJob(
+            name=name, session=session, settled=self.engine.event()
+        )
         self.jobs.append(routed)
         candidates = self.registry.routable_racks()
         if not candidates:
@@ -347,16 +351,26 @@ class Router:
             self._start_fetch(routed, rack, source, tenant, priority, cost,
                               session, need)
         else:
-            routed.admitted = rack.driver.submit_job(
-                name, source, tenant=tenant, priority=priority, cost=cost,
-            )
+            self._land(routed, rack, source, tenant, priority, cost)
         return routed
+
+    @staticmethod
+    def _land(routed: RoutedJob, rack: Rack, source, tenant, priority,
+              cost: float) -> None:
+        """Submit to the chosen rack; settle when the rack's job does."""
+        routed.admitted = rack.driver.submit_job(
+            routed.name, source, tenant=tenant, priority=priority, cost=cost,
+        )
+        routed.admitted.settled.add_callback(
+            lambda _event: routed.settled.succeed(routed)
+        )
 
     def _shed(self, routed: RoutedJob, reason: str) -> RoutedJob:
         routed.shed = True
         self.stats.sheds += 1
         self.obs.counter("fed.sheds").inc()
         self.obs.event("federation", "shed", job=routed.name, reason=reason)
+        routed.settled.succeed(routed)
         return routed
 
     def _fetch_bytes(
@@ -373,7 +387,6 @@ class Router:
         self, routed: RoutedJob, rack: Rack, source, tenant, priority,
         cost: float, session: str, nbytes: float,
     ) -> None:
-        self._fetches_in_flight += 1
         self.stats.cross_rack_fetches += 1
         self.stats.cross_rack_bytes += nbytes
         self.obs.counter("fed.cross_rack_fetches").inc()
@@ -392,11 +405,7 @@ class Router:
             # session's next jobs routed here start immediately.
             self._residency[session].add(rack.name)
             routed.fetched_bytes = nbytes
-            routed.admitted = rack.driver.submit_job(
-                routed.name, source, tenant=tenant, priority=priority,
-                cost=cost,
-            )
-            self._fetches_in_flight -= 1
+            self._land(routed, rack, source, tenant, priority, cost)
 
         self.engine.process(fetch(), name=f"federation:fetch:{routed.name}")
 

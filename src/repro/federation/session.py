@@ -39,10 +39,11 @@ from repro.federation.router import RoutedJob, Router
 from repro.hardware.cluster import Cluster
 from repro.obs import Observability
 from repro.runtime.admission import RackDriver
-from repro.runtime.health import HealthMonitor, HealthState
+from repro.runtime.health import HealthMonitor
 from repro.runtime.rts import JobStats, RuntimeSystem
 from repro.runtime.tenancy import PriorityClass, TenantQuota
 from repro.sim.engine import Engine
+from repro.sim.events import Event
 from repro.sim.trace import TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,9 +133,10 @@ class FederatedSession:
         #: Tenant registrations to replay onto racks that join later.
         self._tenant_specs: typing.Dict[str, dict] = {}
         #: Every rack ever built — deregistered racks keep simulating
-        #: (their reboots, repairs) and still count for quiescence.
+        #: (their reboots, repairs) and still report.
         self._all_racks: typing.List[Rack] = []
-        self._active_drains = 0
+        #: Completion events of the drains still in progress.
+        self._drains: typing.List[Event] = []
         self._next_seed = 0
         #: True once :meth:`close` has finalized the run.
         self.closed = False
@@ -188,42 +190,31 @@ class FederatedSession:
         """
         rack = self.registry.get(name)
         self.registry.begin_drain(name)
-        self._active_drains += 1
         done = self.engine.event()
-        poll = self.registry.heartbeat_ns
-        devices = list(rack.cluster.memory) + list(rack.cluster.compute)
+        self._drains.append(done)
+        # Routing to the rack has stopped, so this is all its work:
+        # queued and running jobs, and fetches in flight toward it.
+        routed = [job.settled for job in self.router.jobs if job.rack == name]
 
         def drain():
-            # Phase 1: let routed work land and finish.  Covers jobs in
-            # the rack's admission queues, running jobs, and fetches in
-            # flight toward this rack (they submit on arrival).
-            while not rack.idle() or self._pending_for(name):
-                yield self.engine.timeout(poll)
+            # Phase 1: let routed work land and finish.
+            yield self.engine.all_of(routed)
             # Phase 2: gracefully power-cycle each node through the
-            # health monitor (reboots fire once nodes are idle).
-            for node in sorted(rack.cluster.nodes):
+            # health monitor (each reboots once idle).
+            node_drains = [
                 rack.monitor.begin_drain(node)
-            while any(
-                rack.monitor.state(d) is HealthState.DRAINING
-                for d in devices
-            ):
-                yield self.engine.timeout(poll)
+                for node in sorted(rack.cluster.nodes)
+            ]
+            yield self.engine.all_of([p for p in node_drains if p is not None])
             # Phase 3: forget the rack.
             self.registry.deregister(name)
             self.registry.stats.drains_completed += 1
-            self._active_drains -= 1
+            self._drains.remove(done)
             self.obs.event("federation", "drain_complete", rack=name)
             done.succeed(name)
 
         self.engine.process(drain(), name=f"federation:drain:{name}")
         return done
-
-    def _pending_for(self, rack_name: str) -> bool:
-        """Any routed job bound for this rack not yet landed there?"""
-        return any(
-            job.rack == rack_name and not job.accounted
-            for job in self.router.jobs
-        )
 
     # -- tenancy -----------------------------------------------------------
 
@@ -330,8 +321,10 @@ class FederatedSession:
         priority: typing.Union[PriorityClass, str, int, None] = None,
         session: typing.Optional[str] = None,
     ):
-        """Submit ``jobs`` (if any) and drive the federation to
-        quiescence.
+        """Submit ``jobs`` (if any) and drive the clock until they —
+        or, with no arguments, every job routed so far — and every
+        drain in progress have settled; the rest of the schedule then
+        runs out.
 
         Returns one :class:`~repro.runtime.rts.JobStats` for a single
         job, a list for several (``None`` for shed jobs), or the
@@ -342,7 +335,8 @@ class FederatedSession:
                         session=session)
             for job in jobs
         ]
-        self._drive()
+        waited = handles if jobs else self.router.jobs
+        self._drive(self.engine.all_of([h.settled for h in waited]))
         if not jobs:
             return self.report()
         results = [self._result(handle) for handle in handles]
@@ -369,9 +363,11 @@ class FederatedSession:
                     name, factory, tenant=tenant, priority=priority,
                     session=session,
                 ))
+            yield self.engine.all_of([h.settled for h in handles])
 
-        self.engine.process(arrival_process(), name="federation:arrivals")
-        self._drive(expect_jobs=len(ordered))
+        self._drive(
+            self.engine.process(arrival_process(), name="federation:arrivals")
+        )
         return handles
 
     def result(self, handle: RoutedJob) -> typing.Optional[JobStats]:
@@ -406,29 +402,17 @@ class FederatedSession:
 
     # -- the drive loop ----------------------------------------------------
 
-    def _drained(self, expect_jobs: typing.Optional[int] = None) -> bool:
-        if self._active_drains:
-            return False
-        if self.router.fetches_in_flight:
-            return False
-        if expect_jobs is not None and len(self.router.jobs) < expect_jobs:
-            return False
-        if not all(job.accounted for job in self.router.jobs):
-            return False
-        return all(rack.idle() for rack in self._all_racks)
-
-    def _drive(self, expect_jobs: typing.Optional[int] = None) -> None:
-        """Advance the shared clock until the federation is quiescent.
+    def _drive(self, done: Event) -> None:
+        """Advance the shared clock until ``done`` and every drain in
+        progress have fired.
 
         The registry heartbeat runs forever, so ``engine.run()`` alone
-        would never return; instead we run in heartbeat-sized windows
-        until every routed job is accounted for and every rack is idle,
-        then kill the heartbeat and drain the remaining schedule
-        (node reboots, repairs)."""
+        would never return; it runs only until then, and the remaining
+        schedule (node reboots, repairs) drains without it."""
         self.registry.start_heartbeat()
-        step = self.registry.heartbeat_ns
-        while not self._drained(expect_jobs):
-            self.engine.run(until=self.engine.now + step)
+        self.engine.run(until=done)
+        while self._drains:
+            self.engine.run(until=self.engine.all_of(self._drains))
         self.registry.stop_heartbeat()
         self.engine.run()
 

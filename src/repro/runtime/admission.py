@@ -207,7 +207,6 @@ class RackDriver:
         self._active: typing.List[AdmittedJob] = []
         self._retry_scheduled = False
         self.stats = RackStats(memory_utilization=MetricRecorder())
-        self._sampling = True
         obs = rts.cluster.obs
         self._obs = obs
         self._running_tl = obs.timeline("rack.running")
@@ -612,48 +611,51 @@ class RackDriver:
         ordered = sorted(arrivals, key=lambda a: a[0])
 
         def arrival_process():
+            handles = []
             for arrival in ordered:
                 time, name, factory = arrival[0], arrival[1], arrival[2]
                 tenant = arrival[3] if len(arrival) > 3 else None
                 priority = arrival[4] if len(arrival) > 4 else None
                 if time > engine.now:
                     yield engine.timeout(time - engine.now)
-                self.submit_job(
+                handles.append(self.submit_job(
                     name, factory, tenant=tenant, priority=priority
-                )
+                ))
+            yield engine.all_of([h.settled for h in handles])
 
-        def sampler():
-            capacity = sum(d.capacity for d in self.rts.cluster.memory.values())
-            telem = self._obs.telemetry
-            while self._sampling:
-                used = sum(d.used for d in self.rts.cluster.memory.values())
-                util = used / capacity if capacity else 0.0
-                self.stats.memory_utilization.record(engine.now, util)
-                telem.record_level("rack.memory_util", engine.now, util)
-                # The sampler is the rack's telemetry cadence: fold
-                # every watcher and sweep the burn-rate rules.
-                telem.poll(engine.now)
-                yield engine.timeout(self.sample_interval_ns)
-
-        engine.process(arrival_process(), name="rack-arrivals")
-        sampler_proc = engine.process(sampler(), name="rack-sampler")
-        # Run until only the sampler keeps the queue alive.
-        while True:
-            engine.run(until=engine.now + self.sample_interval_ns)
-            drained = (
-                not self._queued_count()
-                and self._running == 0
-                and len(self.stats.jobs) == len(ordered)
-            )
-            if drained:
-                break
-        self._sampling = False
-        sampler_proc.kill()
-        engine.run()
+        self.drive(engine.process(arrival_process(), name="rack-arrivals"))
         # End-of-trace: one final fold so the last partial window and
         # any still-open alert spans land in the export.
         self._obs.telemetry.finalize(engine.now)
         return self.stats
+
+    def drive(self, done: Event) -> None:
+        """Run the clock until ``done`` fires, sampling the rack.
+
+        The sampler records pool memory utilization and is the rack's
+        telemetry cadence; it stops at ``done``'s instant, so it never
+        keeps the run alive.  The rest of the schedule (node reboots,
+        repairs) then runs out.
+        """
+        engine = self.rts.cluster.engine
+        memory = self.rts.cluster.memory.values()
+        telem = self._obs.telemetry
+
+        def sampler():
+            capacity = sum(d.capacity for d in memory)
+            while True:
+                used = sum(d.used for d in memory)
+                util = used / capacity if capacity else 0.0
+                self.stats.memory_utilization.record(engine.now, util)
+                telem.record_level("rack.memory_util", engine.now, util)
+                # Fold every watcher and sweep the burn-rate rules.
+                telem.poll(engine.now)
+                yield engine.timeout(self.sample_interval_ns)
+
+        sampler_proc = engine.process(sampler(), name="rack-sampler")
+        engine.run(until=done)
+        sampler_proc.kill()
+        engine.run()
 
     # -- per-tenant observability --------------------------------------------
 

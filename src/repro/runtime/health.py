@@ -744,24 +744,25 @@ class HealthMonitor:
 
     # -- graceful drain ----------------------------------------------------
 
-    def begin_drain(self, node: str) -> bool:
+    def begin_drain(self, node: str) -> typing.Optional[Process]:
         """Start draining a healthy node ahead of a planned restart.
 
-        Returns ``False`` when there is nothing to drain (unknown node,
+        Returns ``None`` when there is nothing to drain (unknown node,
         or a member already failed — that is the *repair* path, handled
         by an immediate reboot).  Otherwise marks every member DRAINING
-        and spawns the drain process, which injects ``NODE_REBOOT`` once
-        the node is idle.
+        and returns the drain process, which injects ``NODE_REBOOT``
+        once the node is idle and then ends.
         """
         members = self._members(node)
         if not members or any(self._device_failed(m) for m in members):
-            return False
+            return None
         self.stats.drains_started += 1
         for name in members:
             self._set_state(name, HealthState.DRAINING)
             self.obs.causal.note_fault("drain", name, self.engine.now)
-        self.engine.process(self._drain(node, members), name=f"health:{node}#drain")
-        return True
+        return self.engine.process(
+            self._drain(node, members), name=f"health:{node}#drain"
+        )
 
     def _drain(self, node: str, members: typing.List[str]):
         span = self.obs.begin_span("health", "drain", node=node)

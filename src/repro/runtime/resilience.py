@@ -7,8 +7,9 @@ the answer (the memory-level half — replication/erasure coding — lives
 in :mod:`repro.ft`):
 
 * :class:`ResilientRuntime` re-executes a failed job up to
-  ``max_attempts`` times, releasing all of the failed attempt's regions
-  first;
+  ``max_attempts`` times through a :class:`repro.api.Session` (so every
+  attempt passes admission), releasing all of the failed attempt's
+  regions first;
 * tasks whose property card says ``persistent=True`` act as
   **checkpoints**: their outputs were written to durable media, so a
   retry *prunes* the DAG — each completed checkpoint task is replaced
@@ -28,7 +29,7 @@ from repro.dataflow.graph import Job, Task
 from repro.dataflow.properties import TaskProperties
 from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import OpClass
-from repro.runtime.rts import JobStats, RuntimeSystem
+from repro.runtime.rts import JobStats
 
 
 class JobAbandoned(Exception):
@@ -52,12 +53,20 @@ class ResilienceStats:
 
 
 class ResilientRuntime:
-    """Retrying, checkpoint-aware wrapper around a :class:`RuntimeSystem`."""
+    """Retrying, checkpoint-aware job runner over a :class:`Session`."""
 
-    def __init__(self, rts: RuntimeSystem, max_attempts: int = 3):
+    def __init__(self, session, max_attempts: int = 3):
+        from repro.api import Session
+
+        if not isinstance(session, Session):
+            raise TypeError(
+                f"ResilientRuntime needs a repro.api Session; got "
+                f"{type(session).__name__} (a hand-built runtime enters as "
+                f"Session(rts, RackDriver(rts)))"
+            )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.rts = rts
+        self.session = session
         self.max_attempts = max_attempts
         self.stats = ResilienceStats()
 
@@ -70,6 +79,7 @@ class ResilientRuntime:
         Completed ``persistent=True`` tasks of a failed attempt are
         carried into the next attempt as checkpoints.
         """
+        engine = self.session.cluster.engine
         checkpoints: typing.Dict[str, int] = {}  # task name -> output size
         last_error: typing.Optional[BaseException] = None
         job_name: typing.Optional[str] = None
@@ -85,25 +95,28 @@ class ResilientRuntime:
                 self.stats.checkpoints_used += sum(
                     1 for name in checkpoints if name in job.tasks
                 )
-            started = self.rts.cluster.engine.now
-            execution = self.rts._submit(job)
+            started = engine.now
+            handle = self.session.submit(job)
+            engine.run(until=handle.settled)
+            execution = handle.execution
+            if execution is None:  # shed by admission
+                last_error = RuntimeError(f"job {job_name!r} was shed")
+                self.stats.failures += 1
+                continue
             if prev_key is not None:
                 # Chain whole-job re-executions in the causal record.
-                self.rts.cluster.obs.causal.link_retry(
+                self.session.obs.causal.link_retry(
                     prev_key, execution.job_owner
                 )
             prev_key = execution.job_owner
-            try:
-                stats = self.rts.cluster.engine.run(until=execution.done)
-            except BaseException as exc:  # noqa: BLE001 - any task failure
-                last_error = exc
-                self.stats.failures += 1
-                self.stats.wasted_time_ns += self.rts.cluster.engine.now - started
-                self.rts.cluster.engine.run()  # drain stragglers
-                execution.abort()
-                checkpoints.update(self._harvest_checkpoints(job, execution))
-                continue
-            return stats
+            if handle.completed:
+                return handle.stats
+            last_error = execution.stats.error
+            self.stats.failures += 1
+            self.stats.wasted_time_ns += engine.now - started
+            engine.run()  # drain stragglers
+            execution.abort()
+            checkpoints.update(self._harvest_checkpoints(job, execution))
 
         raise JobAbandoned(job_name, self.stats.attempts, last_error)
 

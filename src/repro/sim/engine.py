@@ -98,7 +98,9 @@ class Engine:
 
         queue = self._queue
         while queue:
-            if stop_event is not None and stop_event.processed:
+            # ``callbacks is None`` is ``Event.processed`` without the
+            # property call on every step.
+            if stop_event is not None and stop_event.callbacks is None:
                 break
             if queue[0][0] > stop_time:
                 self._now = stop_time

@@ -63,10 +63,13 @@ class TestDualPlaneRouting:
         """End to end: a pipeline keeps running across a mid-flight plane
         failure because new accesses route over the surviving plane."""
         from repro.dataflow import Job, RegionUsage, Task, WorkSpec
-        from repro.runtime import ResilientRuntime, RuntimeSystem
+        from repro.api import Session
+        from repro.runtime import RackDriver, ResilientRuntime, RuntimeSystem
 
         rts = RuntimeSystem(rack)
-        resilient = ResilientRuntime(rts, max_attempts=3)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=3
+        )
 
         def saboteur():
             yield rack.engine.timeout(50_000.0)

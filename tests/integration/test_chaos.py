@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
 from repro.runtime import (
     HealthMonitor,
     JobAbandoned,
+    RackDriver,
     RecoveryPolicy,
     ResilientRuntime,
     RuntimeSystem,
@@ -77,7 +79,9 @@ class TestChaos:
     def test_crashes_never_leave_partial_state(self, schedule, shape, seed):
         cluster = Cluster.preset("pooled-rack", seed=seed)
         rts = RuntimeSystem(cluster)
-        resilient = ResilientRuntime(rts, max_attempts=4)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=4
+        )
 
         for crash_at, restart_after, node in schedule:
             cluster.faults.inject_at(crash_at, FaultKind.NODE_CRASH, node)
@@ -116,7 +120,9 @@ class TestChaos:
         """Without faults the same machinery always succeeds first try."""
         cluster = Cluster.preset("pooled-rack", seed=seed)
         rts = RuntimeSystem(cluster)
-        resilient = ResilientRuntime(rts, max_attempts=2)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=2
+        )
         stats = resilient.run_job(lambda: build_job((3, 8 * MiB, 1.0), "c"))
         assert stats.ok
         assert resilient.stats.failures == 0
@@ -142,7 +148,9 @@ class TestChaosWithRecovery:
             backoff_base_ns=1_000.0, max_task_attempts=3,
         ))
         rts.backups = OutputBackupStore(cluster, rts.memory)
-        resilient = ResilientRuntime(rts, max_attempts=4)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=4
+        )
 
         for crash_at, restart_after, node in schedule:
             cluster.faults.inject_at(crash_at, FaultKind.NODE_CRASH, node)
@@ -191,7 +199,9 @@ class TestChaosWithRecovery:
         cluster = Cluster.preset("pooled-rack", seed=3)
         engine = cluster.engine
         rts = RuntimeSystem(cluster)
-        resilient = ResilientRuntime(rts, max_attempts=3)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=3
+        )
 
         fired = []
 

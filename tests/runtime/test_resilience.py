@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.api import Session, connect
 from repro.dataflow import Job, RegionUsage, Task, TaskProperties, WorkSpec
 from repro.hardware import Cluster
 from repro.runtime import (
+    HealthMonitor,
     JobAbandoned,
+    RackDriver,
     ResilientRuntime,
     RuntimeSystem,
     prune_with_checkpoints,
@@ -53,7 +56,8 @@ def chain_job(persist_middle=True, bomb=None, fuse=None):
 class TestRetries:
     def test_transient_failure_retried_to_success(self):
         cluster = Cluster.preset("pooled-rack", seed=1)
-        resilient = ResilientRuntime(RuntimeSystem(cluster), max_attempts=3)
+        resilient = ResilientRuntime(connect(cluster=cluster),
+                                     max_attempts=3)
         fuse = [1]  # fail exactly once
         stats = resilient.run_job(
             lambda: chain_job(bomb="c", fuse=fuse)
@@ -65,7 +69,8 @@ class TestRetries:
 
     def test_permanent_failure_abandoned(self):
         cluster = Cluster.preset("pooled-rack", seed=2)
-        resilient = ResilientRuntime(RuntimeSystem(cluster), max_attempts=3)
+        resilient = ResilientRuntime(connect(cluster=cluster),
+                                     max_attempts=3)
         fuse = [1, 1, 1, 1]
         with pytest.raises(JobAbandoned) as excinfo:
             resilient.run_job(lambda: chain_job(bomb="c", fuse=fuse))
@@ -74,7 +79,9 @@ class TestRetries:
     def test_failed_attempts_leak_nothing(self):
         cluster = Cluster.preset("pooled-rack", seed=3)
         rts = RuntimeSystem(cluster)
-        resilient = ResilientRuntime(rts, max_attempts=3)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=3
+        )
         fuse = [1, 1]
         stats = resilient.run_job(lambda: chain_job(bomb="c", fuse=fuse))
         assert stats.ok
@@ -84,7 +91,23 @@ class TestRetries:
     def test_max_attempts_validated(self):
         cluster = Cluster.preset("pooled-rack", seed=4)
         with pytest.raises(ValueError):
-            ResilientRuntime(RuntimeSystem(cluster), max_attempts=0)
+            ResilientRuntime(connect(cluster=cluster), max_attempts=0)
+
+    def test_shed_attempts_end_in_abandonment(self):
+        cluster = Cluster.preset("pooled-rack", seed=4)
+        HealthMonitor(cluster, detection_delay_ns=0.0)
+        session = connect(cluster=cluster, shed_below_capacity_fraction=0.5)
+        cluster.crash_node("stornode0")
+        resilient = ResilientRuntime(session, max_attempts=2)
+        with pytest.raises(JobAbandoned, match="shed"):
+            resilient.run_job(chain_job)
+        assert resilient.stats.failures == 2
+        assert all(job.shed for job in session.stats.jobs)
+
+    def test_takes_a_session_not_a_bare_runtime(self):
+        rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=4))
+        with pytest.raises(TypeError, match="Session"):
+            ResilientRuntime(rts)
 
 
 class TestCheckpointPruning:
@@ -92,7 +115,8 @@ class TestCheckpointPruning:
         """b persisted before c exploded -> the retry restores b instead
         of recomputing a and b."""
         cluster = Cluster.preset("pooled-rack", seed=5)
-        resilient = ResilientRuntime(RuntimeSystem(cluster), max_attempts=3)
+        resilient = ResilientRuntime(connect(cluster=cluster),
+                                     max_attempts=3)
         fuse = [1]
         stats = resilient.run_job(lambda: chain_job(bomb="c", fuse=fuse))
         assert stats.ok
@@ -103,7 +127,8 @@ class TestCheckpointPruning:
 
     def test_no_checkpoint_means_full_rerun(self):
         cluster = Cluster.preset("pooled-rack", seed=6)
-        resilient = ResilientRuntime(RuntimeSystem(cluster), max_attempts=3)
+        resilient = ResilientRuntime(connect(cluster=cluster),
+                                     max_attempts=3)
         fuse = [1]
         stats = resilient.run_job(
             lambda: chain_job(persist_middle=False, bomb="c", fuse=fuse)
@@ -155,7 +180,9 @@ class TestNodeCrashRecovery:
 
         cluster = Cluster.preset("pooled-rack", seed=7)
         rts = RuntimeSystem(cluster)
-        resilient = ResilientRuntime(rts, max_attempts=4)
+        resilient = ResilientRuntime(
+            Session(rts, RackDriver(rts)), max_attempts=4
+        )
 
         def crash_then_restore():
             # Crash whichever node backs the producer's output while the

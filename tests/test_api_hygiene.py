@@ -8,6 +8,7 @@ every public method of exported classes must carry a docstring, and
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -172,6 +173,20 @@ def test_engine_has_one_queue():
         if inspect.isclass(obj) and obj.__module__ == engine.__name__
     }
     assert classes == {"EmptySchedule", "Engine"}
+
+
+def test_no_slice_stepping_drive_loops():
+    """Runs end on a completion event: nothing under ``src/`` steps the
+    clock in fixed slices (``run(until=<clock>.now + step)``) to poll a
+    drained predicate between them."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "run(until=" in line and ".now +" in line
+    ]
+    assert not offenders, offenders
 
 
 def test_no_private_top_level_modules():
