@@ -18,7 +18,7 @@ from repro.runtime import CalibratedCostModel
 
 
 def test_ablation_cost_model_calibration(benchmark, report):
-    cluster = Cluster.preset("pooled-rack", trace_categories={"profile"})
+    cluster = Cluster.preset("pooled-rack", trace_categories={"causal"})
     session = connect(cluster=cluster)
     model = CalibratedCostModel(cluster)
     waves = []

@@ -16,9 +16,9 @@ from benchmarks.conftest import once, run_sim
 from repro.hardware import Cluster
 from repro.memory.interfaces import AccessPattern, Accessor
 from repro.memory.manager import MemoryManager
-from repro.memory.pointers import HotnessTracker
 from repro.memory.properties import MemoryProperties
 from repro.memory.tiering import TieringDaemon, TieringPolicy
+from repro.obs.telemetry import SampledHotness
 from repro.workloads import zipfian_trace, uniform_trace
 
 from repro.metrics import Table, format_ns
@@ -28,6 +28,11 @@ MiB = 1024 * KiB
 
 N_REGIONS = 32
 REGION_BYTES = 2 * MiB
+
+
+def exact_tracker():
+    """Every access counted (rate 1), room for every region."""
+    return SampledHotness(rate=1, k=N_REGIONS, half_life_ns=5e6)
 
 
 def build_environment(seed=29):
@@ -93,7 +98,7 @@ def test_ablation_tiering(benchmark, report):
                 cluster, manager, regions = build_environment()
                 total, daemon = replay(
                     cluster, manager, regions, trace,
-                    HotnessTracker(half_life_ns=5e6), tiering,
+                    exact_tracker(), tiering,
                 )
                 promoted = daemon.promotions if daemon else 0
                 results[(trace_name, tiering)] = (total, promoted)
@@ -134,7 +139,7 @@ def test_ablation_tiering_respects_capacity(benchmark, report):
                               interarrival_ns=2000.0)
         cluster, manager, regions = build_environment(seed=31)
         replay(cluster, manager, regions, trace,
-               HotnessTracker(half_life_ns=5e6), tiering=True)
+               exact_tracker(), tiering=True)
         return cluster, manager
 
     cluster, manager = once(benchmark, experiment)

@@ -14,8 +14,8 @@ that scenario and checks the telemetry layer end to end:
   and the slow window ages the misses out — all from SLO observations
   alone, with no handler on any fault kind.
 * **Sampled hotness** — a 1/64-sampled space-saving sketch replays a
-  Zipf-skewed access stream next to the full-counting
-  :class:`repro.memory.pointers.HotnessTracker` and must agree on at
+  Zipf-skewed access stream next to an exact counter (the same class
+  at rate 1 with room for every region) and must agree on at
   least 90% of the top-k hottest regions (the set the tiering layer
   would promote), at a fraction of the bookkeeping.
 * **Self-metering** — the hub prices itself: bounded series/sketch
@@ -30,7 +30,6 @@ import random
 from benchmarks.conftest import once
 from repro import api
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
-from repro.memory.pointers import HotnessTracker
 from repro.metrics import Table, format_bytes, format_ns
 from repro.obs.telemetry import SampledHotness
 from repro.sim.faults import FaultKind
@@ -136,7 +135,9 @@ def run_hotness(seed: int) -> dict:
     weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(HOTNESS_REGIONS)]
     # Equal (huge) half-lives: the claim compares ranking fidelity, not
     # decay curves, so decay is effectively off for both trackers.
-    full = HotnessTracker(half_life_ns=1e15)
+    # Rate 1 and capacity 2k == HOTNESS_REGIONS: every access counted,
+    # nothing ever evicted, so this is the exact reference.
+    full = SampledHotness(rate=1, k=HOTNESS_REGIONS // 2, half_life_ns=1e15)
     sketch = SampledHotness(rate=HOTNESS_RATE, k=32, half_life_ns=1e15)
     stream = rng.choices(
         range(HOTNESS_REGIONS), weights=weights, k=HOTNESS_ACCESSES,
@@ -146,6 +147,7 @@ def run_hotness(seed: int) -> dict:
         t += 10.0
         full.record(region, 4096.0, t)
         sketch.record(region, 4096.0, t)
+    assert full.evictions == 0
     full_top = {r for r, _ in full.ranked(t)[:HOTNESS_TOPK]}
     sketch_top = {r for r, _ in sketch.ranked(t)[:HOTNESS_TOPK]}
     return {

@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
-from repro.memory.pointers import HotnessTracker
 from repro.memory.properties import MemoryProperties
 from repro.memory.structures import RemoteHashMap
 from repro.memory.tiering import TieringDaemon, TieringPolicy
 from repro.metrics import format_ns
+from repro.obs.telemetry import SampledHotness
 from repro.workloads import ZipfSampler
 
 KiB = 1024
@@ -28,7 +28,7 @@ KiB = 1024
 def main() -> None:
     cluster = Cluster.preset("table1-host", seed=3)
     manager = MemoryManager(cluster)
-    tracker = HotnessTracker(half_life_ns=5e6)
+    tracker = SampledHotness(rate=1, k=1, half_life_ns=5e6)  # exact
 
     region = manager.allocate_on(
         "far0", 256 * KiB, MemoryProperties(), owner="kv",

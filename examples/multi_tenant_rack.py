@@ -92,7 +92,7 @@ def main() -> None:
     # Round 2: the statistics loop — observe contention, predict better.
     print("\nCalibrating the cost model on the contended rack:")
     cluster = Cluster.preset("pooled-rack", seed=6,
-                             trace_categories={"profile"})
+                             trace_categories={"causal"})
     session = connect(cluster=cluster, max_concurrent=8)
     model = CalibratedCostModel(cluster)
     for wave in range(2):

@@ -20,7 +20,7 @@ from repro.metrics import Profile, format_ns
 
 def profiled_run(tune_hot_region: bool):
     cluster = Cluster.preset("pooled-rack", seed=11,
-                             trace_categories={"profile"})
+                             trace_categories={"causal"})
     job = build_hospital_job(n_frames=64)
     if tune_hot_region:
         # The fix the profiler suggests below: the track-hours timesheet

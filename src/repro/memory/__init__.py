@@ -52,7 +52,7 @@ from repro.memory.regions import (
 from repro.memory.manager import MemoryManager, PlacementError
 from repro.memory.sharing import CacheEntry, SharedRegionCache, SharedRegionError
 from repro.memory.interfaces import AccessMode, AccessPattern, InterfaceError
-from repro.memory.pointers import HotnessTracker, RemotePointer
+from repro.memory.pointers import RemotePointer
 from repro.memory.tiering import TieringPolicy, TieringDaemon
 from repro.memory.addressing import (
     AddressError,
@@ -78,7 +78,6 @@ __all__ = [
     "CoherenceModel",
     "CustomRegionType",
     "FreeListAllocator",
-    "HotnessTracker",
     "InterfaceError",
     "LatencyClass",
     "MemoryManager",

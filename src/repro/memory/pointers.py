@@ -1,4 +1,4 @@
-"""Remotable pointers and hotness tracking.
+"""Remotable pointers that feed hotness tracking.
 
 The paper (§3, Challenges 1–3) points at pointer tagging and pointer
 swizzling — LeanStore, AIFM, TPP, Carbink — as the mechanism for
@@ -10,63 +10,19 @@ remote.  We reproduce both ideas at region granularity:
   observer can load/store directly, it dereferences in "direct" mode;
   otherwise it is "remote" and dereferencing goes through the async
   interface.  Each dereference bumps the tag's access counter.
-* :class:`HotnessTracker` maintains exponentially-decayed access
+* hotness is tracked by :class:`~repro.obs.telemetry.SampledHotness`
+  (``rate=1`` counts every access): exponentially-decayed access
   frequencies per region, which the tiering daemon
   (:mod:`repro.memory.tiering`) uses for promotion/demotion decisions.
 """
 
 from __future__ import annotations
 
-import math
 import typing
 
 from repro.hardware.cluster import Cluster
 from repro.memory.region import MemoryRegion
-
-
-class HotnessTracker:
-    """Exponentially-decayed per-region access statistics.
-
-    ``half_life_ns`` controls how fast history fades; hotness is
-    measured in (decayed) bytes touched.
-    """
-
-    def __init__(self, half_life_ns: float = 1_000_000.0):
-        if half_life_ns <= 0:
-            raise ValueError("half life must be positive")
-        self.decay = math.log(2.0) / half_life_ns
-        self._score: typing.Dict[int, float] = {}
-        self._last: typing.Dict[int, float] = {}
-        self.total_records = 0
-
-    def record(self, region_id: int, nbytes: float, time: float) -> None:
-        """Record an access of ``nbytes`` at simulated ``time``."""
-        if nbytes < 0:
-            raise ValueError("negative access size")
-        previous = self._score.get(region_id, 0.0)
-        last_time = self._last.get(region_id, time)
-        elapsed = max(0.0, time - last_time)
-        self._score[region_id] = previous * math.exp(-self.decay * elapsed) + nbytes
-        self._last[region_id] = time
-        self.total_records += 1
-
-    def hotness(self, region_id: int, time: float) -> float:
-        """Decayed score of a region as of ``time`` (0 if never seen)."""
-        if region_id not in self._score:
-            return 0.0
-        elapsed = max(0.0, time - self._last[region_id])
-        return self._score[region_id] * math.exp(-self.decay * elapsed)
-
-    def ranked(self, time: float) -> typing.List[typing.Tuple[int, float]]:
-        """All tracked regions, hottest first."""
-        pairs = [(rid, self.hotness(rid, time)) for rid in self._score]
-        pairs.sort(key=lambda p: (-p[1], p[0]))
-        return pairs
-
-    def forget(self, region_id: int) -> None:
-        """Drop all hotness history for a region."""
-        self._score.pop(region_id, None)
-        self._last.pop(region_id, None)
+from repro.obs.telemetry import SampledHotness
 
 
 class RemotePointer:
@@ -83,7 +39,7 @@ class RemotePointer:
         cluster: Cluster,
         region: MemoryRegion,
         offset: int = 0,
-        tracker: typing.Optional[HotnessTracker] = None,
+        tracker: typing.Optional[SampledHotness] = None,
     ):
         if offset < 0 or offset >= region.size:
             raise ValueError(

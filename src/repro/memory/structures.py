@@ -24,8 +24,8 @@ import typing
 
 from repro.hardware.cluster import Cluster
 from repro.memory.interfaces import AccessPattern, Accessor
-from repro.memory.pointers import HotnessTracker
 from repro.memory.region import MemoryRegion
+from repro.obs.telemetry import SampledHotness
 
 
 class StructureError(Exception):
@@ -40,7 +40,7 @@ class _RemoteStructure:
         cluster: Cluster,
         region: MemoryRegion,
         observer: str,
-        tracker: typing.Optional[HotnessTracker] = None,
+        tracker: typing.Optional[SampledHotness] = None,
     ):
         self.cluster = cluster
         self.region = region
@@ -72,7 +72,7 @@ class RemoteArray(_RemoteStructure):
         region: MemoryRegion,
         observer: str,
         element_size: int,
-        tracker: typing.Optional[HotnessTracker] = None,
+        tracker: typing.Optional[SampledHotness] = None,
     ):
         super().__init__(cluster, region, observer, tracker)
         if element_size <= 0:
@@ -143,7 +143,7 @@ class RemoteHashMap(_RemoteStructure):
         region: MemoryRegion,
         observer: str,
         slot_size: int = 64,
-        tracker: typing.Optional[HotnessTracker] = None,
+        tracker: typing.Optional[SampledHotness] = None,
     ):
         super().__init__(cluster, region, observer, tracker)
         if slot_size <= 0:

@@ -4,7 +4,7 @@ The runtime "must know or predict the resource utilization of memory
 and compute devices" and optimize placement continuously (§3,
 Challenges 1–3).  The :class:`TieringDaemon` is that background
 optimizer for memory: it periodically consults the
-:class:`~repro.memory.pointers.HotnessTracker` and migrates
+:class:`~repro.obs.telemetry.SampledHotness` tracker and migrates
 
 * **hot** regions stuck on slow tiers up to the fastest device with
   room (promotion), and
@@ -22,9 +22,9 @@ import typing
 from repro.hardware.cluster import Cluster
 from repro.hardware.devices import MemoryDevice
 from repro.memory.manager import MemoryManager, PlacementError
-from repro.memory.pointers import HotnessTracker
 from repro.memory.properties import LatencyClass
 from repro.memory.region import MemoryRegion, RegionState
+from repro.obs.telemetry import SampledHotness
 
 
 class TieringPolicy:
@@ -34,7 +34,7 @@ class TieringPolicy:
         self,
         cluster: Cluster,
         manager: MemoryManager,
-        tracker: HotnessTracker,
+        tracker: SampledHotness,
         observer: str,
         hot_bytes_threshold: float = 1024.0,
         cold_bytes_threshold: float = 64.0,

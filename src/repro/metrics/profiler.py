@@ -15,8 +15,12 @@ produces aligned views at four abstraction levels:
   backing device, per region type;
 * **device level** — bytes moved per fabric link, per-device traffic.
 
-Enable the ``profile`` trace category (plus ``memory``) on the cluster,
-run a job, then ``Profile.from_run(cluster, stats).render()``.
+Every phase is read from the job's causal DAG (:mod:`repro.obs.causal`),
+the runtime's one per-phase record: each ``memory_phase`` and
+``compute_phase`` node carries its task, device, op, bytes and
+interval.  Enable the ``causal`` trace category on the cluster (it is
+on by default), run a job, then ``Profile.from_run(cluster,
+stats).render()``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import typing
 
 from repro.hardware.cluster import Cluster
 from repro.metrics.report import Table, format_bytes, format_ns
+from repro.obs.causal import JobGraph, critical_path
 from repro.runtime.rts import JobStats
 
 
@@ -36,52 +41,57 @@ class PhaseRecord:
     detail: str  # op class or region name
     backing: str  # device for memory phases, compute device otherwise
     duration: float
+    start: float  # simulated ns
     nbytes: float = 0.0
     pattern: str = ""  # 'sequential' | 'random' for memory phases
     access_size: int = 64
-    #: Recorded phase start (span begin); None for legacy instant events.
-    start: typing.Optional[float] = None
 
 
 class Profile:
     """One profiled job run, queryable at four levels."""
 
-    def __init__(self, stats: JobStats, phases: typing.List[PhaseRecord]):
+    def __init__(self, stats: JobStats, graph: JobGraph):
         self.stats = stats
-        self.phases = phases
+        self.graph = graph
+        prefix = f"{graph.job}/"
+        self.phases: typing.List[PhaseRecord] = []
+        for node in graph.nodes.values():
+            fields = node.fields
+            if node.kind == "compute_phase":
+                self.phases.append(PhaseRecord(
+                    task=node.task[len(prefix):], kind="compute",
+                    detail=fields["op"], backing=node.device,
+                    duration=node.duration, start=node.begin,
+                ))
+            elif node.kind == "memory_phase":
+                self.phases.append(PhaseRecord(
+                    task=node.task[len(prefix):], kind=fields["op"],
+                    detail=fields["region"], backing=fields["backing"],
+                    duration=node.duration, start=node.begin,
+                    nbytes=float(fields["nbytes"]),
+                    pattern=fields["pattern"],
+                    access_size=fields["access_size"],
+                ))
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_run(cls, cluster: Cluster, stats: JobStats) -> "Profile":
-        """Build a profile from the cluster trace of a finished run."""
-        prefix = f"{stats.job_name}/"
-        phases: typing.List[PhaseRecord] = []
-        for event in cluster.trace.by_category("profile"):
-            task = str(event.fields.get("task", ""))
-            if not task.startswith(prefix):
-                continue
-            task_name = task[len(prefix):]
-            if event.name == "compute_phase":
-                phases.append(PhaseRecord(
-                    task=task_name, kind="compute",
-                    detail=str(event.fields["op"]),
-                    backing=str(event.fields["device"]),
-                    duration=float(event.fields["duration"]),
-                    start=event.begin,
-                ))
-            elif event.name == "memory_phase":
-                phases.append(PhaseRecord(
-                    task=task_name, kind=str(event.fields["op"]),
-                    detail=str(event.fields["region"]),
-                    backing=str(event.fields["backing"]),
-                    duration=float(event.fields["duration"]),
-                    nbytes=float(event.fields["nbytes"]),
-                    pattern=str(event.fields.get("pattern", "")),
-                    access_size=int(event.fields.get("access_size", 64)),
-                    start=event.begin,
-                ))
-        return cls(stats, phases)
+        """Build a profile from the causal graph of a finished run.
+
+        Raises ``ValueError`` when the cluster holds no graph for the
+        run: causal tracing was off, or the graph was evicted past
+        ``CausalTracer.max_jobs``.
+        """
+        for graph in reversed(cluster.obs.causal.jobs.values()):
+            if (graph.job == stats.job_name
+                    and graph.submitted_at == stats.submitted_at):
+                return cls(stats, graph)
+        raise ValueError(
+            f"no causal graph for job {stats.job_name!r}: run it with "
+            f'trace_categories={{"causal"}} and profile it before '
+            f"CausalTracer.max_jobs later jobs evict its graph"
+        )
 
     # -- queries ----------------------------------------------------------
 
@@ -126,21 +136,15 @@ class Profile:
         return {k: (v[0], v[1]) for k, v in out.items()}
 
     def critical_path(self) -> typing.List[str]:
-        """Tasks ordered by finish time whose start chained on the
-        previous finish (the observed serial spine of the run).
-        Never-started tasks (upstream failures) are not on the path."""
-        ordered = sorted(
-            (t for t in self.stats.tasks.values()
-             if t.started_at is not None and t.finished_at is not None),
-            key=lambda t: t.finished_at,
-        )
-        spine = []
-        horizon = -1.0
-        for task_stats in ordered:
-            if task_stats.started_at >= horizon - 1e-6:
-                spine.append(task_stats.name)
-                horizon = task_stats.finished_at
-        return spine
+        """Tasks in order along the causal critical path
+        (:func:`repro.obs.causal.critical_path`): the chain of phases
+        and waits the job's finish actually waited for."""
+        prefix = f"{self.graph.job}/"
+        tasks = (self.graph.nodes[nid].task
+                 for nid in critical_path(self.graph))
+        return list(dict.fromkeys(
+            task[len(prefix):] for task in tasks if task
+        ))
 
     def hottest_region(self) -> typing.Optional[str]:
         """The region with the largest total access time (None if none)."""
@@ -174,17 +178,9 @@ class Profile:
                 "ts": task_stats.started_at, "dur": task_stats.duration,
                 "args": {"device": task_stats.device},
             })
-        # Span-complete phase events carry their real start; legacy
-        # instant events are laid out back-to-back inside their task's
-        # span (they executed sequentially in the default behaviour, so
-        # that reconstruction is faithful).
-        cursor = {name: self.stats.tasks[name].started_at or 0.0
-                  for name in self.stats.tasks}
         for phase in self.phases:
             if phase.task not in tids:
                 continue
-            start = phase.start if phase.start is not None else cursor[phase.task]
-            cursor[phase.task] = start + phase.duration
             args = {"backing": phase.backing}
             if phase.kind != "compute":
                 args["bytes"] = phase.nbytes
@@ -193,7 +189,7 @@ class Profile:
                 "name": f"{phase.kind}:{phase.detail}",
                 "cat": phase.kind, "ph": "X", "pid": 1,
                 "tid": tids[phase.task],
-                "ts": start, "dur": phase.duration, "args": args,
+                "ts": phase.start, "dur": phase.duration, "args": args,
             })
         return events
 

@@ -11,10 +11,10 @@ Two usage styles:
 
 * scoped (single generator frame)::
 
-      with obs.span("profile", "memory_phase", parent=task_span) as sp:
+      with obs.span("placement", "decide", parent=task_span) as sp:
           ...
           if sp:
-              sp.set(nbytes=n, duration=total)
+              sp.set(device=chosen, candidates=n)
 
 * explicit begin/close (scope crosses simulation processes)::
 

@@ -24,10 +24,11 @@ construction and all priced honestly via self-metering:
 * :class:`SampledHotness` tracks per-region and per-device access heat
   from a deterministic 1-in-N sample of accesses, with space-saving
   top-k estimation so memory stays O(k) no matter how many regions a
-  run touches.  It is query-compatible with
-  :class:`repro.memory.pointers.HotnessTracker` (``record`` /
-  ``hotness`` / ``ranked`` / ``forget``), so the tiering layer can
-  consume either.
+  run touches.  It is the one hotness tracker: at rate 1 with a
+  capacity of at least the number of keys it counts every access
+  exactly, which is how the tiering layer, the remotable pointers and
+  the far-memory structures use it (``record`` / ``hotness`` /
+  ``ranked`` / ``forget``).
 
 Everything the telemetry layer costs is accounted under
 ``obs.telemetry.*`` metrics (samples taken, windows retained, wall
@@ -593,10 +594,9 @@ class SampledHotness:
     ``capacity`` entries: an untracked key evicts the coldest entry and
     inherits its score, so the true top-k survive with bounded error
     while memory stays O(capacity) no matter how many regions a soak
-    run touches.  Scores decay exponentially (``half_life_ns``) like
-    the full-counting :class:`repro.memory.pointers.HotnessTracker`,
-    whose query API (``record``/``hotness``/``ranked``/``forget``) this
-    class matches so the tiering layer can consume either.
+    run touches.  Scores decay exponentially (``half_life_ns``; none
+    when it is ``None``).  ``rate=1`` with ``capacity`` at least the
+    number of keys is exact full counting: no sampling, no eviction.
     """
 
     def __init__(
@@ -649,7 +649,9 @@ class SampledHotness:
             self._bump(self._devices, device, weight, time)
 
     def record(self, region_id, nbytes: float, time: float) -> None:
-        """Drop-in for ``memory.pointers.HotnessTracker.record``."""
+        """One access of ``nbytes`` to a region at simulated ``time``."""
+        if nbytes < 0:
+            raise ValueError("negative access size")
         self.record_access(region_id, None, nbytes, time)
 
     def _bump(self, table: dict, key, weight: float, time: float) -> None:

@@ -203,8 +203,9 @@ class RackDriver:
         self._admission_seq = itertools.count()
         #: System virtual time (start tag of the last dispatched job).
         self._vtime = 0.0
-        #: Admitted-and-running jobs, in admission order (victim scan).
-        self._active: typing.List[AdmittedJob] = []
+        #: Admitted-and-running jobs by ``id()``, in admission order
+        #: (victim scan); completion removes its own entry in O(1).
+        self._active: typing.Dict[int, AdmittedJob] = {}
         self._retry_scheduled = False
         self.stats = RackStats(memory_utilization=MetricRecorder())
         obs = rts.cluster.obs
@@ -373,7 +374,7 @@ class RackDriver:
             return False
         if self._running - self.max_concurrent >= self.preempt_overcommit:
             return False
-        for victim in reversed(self._active):
+        for victim in reversed(self._active.values()):
             if victim.priority != PriorityClass.BEST_EFFORT:
                 continue
             if victim.preemptions >= self.max_preemptions_per_job:
@@ -464,7 +465,7 @@ class RackDriver:
             priority=admitted.priority,
         )
         admitted.execution = execution
-        self._active.append(admitted)
+        self._active[id(admitted)] = admitted
         graph = getattr(execution, "causal", None)
         if graph is not None:
             # The admission wait happened *before* submit, so it
@@ -486,8 +487,7 @@ class RackDriver:
         self._running -= 1
         engine = self.rts.cluster.engine
         admitted.finished_at = engine.now
-        if admitted in self._active:
-            self._active.remove(admitted)
+        self._active.pop(id(admitted), None)
         tenant = self.tenants.get(admitted.tenant)
         tenant.running -= 1
         if entry.footprint is not None:

@@ -36,7 +36,6 @@ from repro.runtime.placement import (
     PlacementPolicy,
     PlacementRequest,
 )
-from repro.obs.span import NOOP_SPAN
 from repro.runtime.health import DeviceDegraded
 from repro.runtime.scheduler import HeftScheduler, Scheduler
 from repro.runtime.tenancy import DEFAULT_TENANT, Preempted, coerce_priority
@@ -132,8 +131,6 @@ class TaskContext:
         self._rts = execution.rts
         self.task = task
         self.compute = device_name
-        #: This task's span (parent for phase spans); NOOP when disabled.
-        self.span = NOOP_SPAN
         self.inputs: typing.List[RegionHandle] = []
         self._scratch: typing.Optional[MemoryRegion] = None
         self._output: typing.Optional[MemoryRegion] = None
@@ -313,8 +310,6 @@ class TaskContext:
         return duration
 
     def _touch(self, handle, nbytes, pattern, access_size, mode, is_write):
-        sp = self._rts.cluster.obs.span("profile", "memory_phase",
-                                        parent=self.span)
         began = self.now
         accessor = Accessor(self._rts.cluster, handle, self.compute)
         region_size = handle.region.size
@@ -377,27 +372,7 @@ class TaskContext:
                 # hatch is a voluntary abort: the retry re-places the
                 # output region off the flagged device (placement
                 # treats it as a last resort) and re-runs the attempt.
-                if sp:
-                    region = handle.region
-                    sp.set(
-                        task=self.owner, device=self.compute,
-                        region=region.name, backing=region.device.name,
-                        op="write", nbytes=requested, duration=total,
-                        aborted=True,
-                    )
-                sp.close()
                 raise DeviceDegraded(handle.region.device.name)
-        if sp:
-            region = handle.region
-            sp.set(
-                task=self.owner, device=self.compute,
-                region=region.name, backing=region.device.name,
-                rtype=region.region_type.value if region.region_type else "",
-                op="write" if is_write else "read",
-                nbytes=requested, duration=total,
-                pattern=pattern.value, access_size=access_size,
-            )
-        sp.close()
         if self._execution.causal is not None:
             region = handle.region
             self._execution._causal_chain(
@@ -407,6 +382,8 @@ class TaskContext:
                 op="write" if is_write else "read",
                 nbytes=requested, region=region.name,
                 backing=region.device.name,
+                rtype=region.region_type.value if region.region_type else "",
+                pattern=pattern.value, access_size=access_size,
             )
         return total
 
@@ -612,8 +589,6 @@ class TaskContext:
         """
         if op_class is None:
             op_class = self.task.work.op_class
-        sp = self._rts.cluster.obs.span("profile", "compute_phase",
-                                        parent=self.span)
         device = self._rts.cluster.compute[self.compute]
         began = self.now
         monitor = self._rts.health
@@ -637,16 +612,7 @@ class TaskContext:
             ) and self._abort_pays_off(
                 slice_duration * slices_left, nominal * slices_left
             ):
-                if sp:
-                    sp.set(task=self.owner, device=self.compute,
-                           op=op_class.value, ops=ops, duration=duration,
-                           aborted=True)
-                sp.close()
                 raise DeviceDegraded(self.compute)
-        if sp:
-            sp.set(task=self.owner, device=self.compute,
-                   op=op_class.value, ops=ops, duration=duration)
-        sp.close()
         if self._execution.causal is not None:
             self._execution._causal_chain(
                 self.task.name, "compute_phase", "compute",
@@ -1111,7 +1077,6 @@ class _JobExecution:
         occupancy = obs.timeline(f"device.occupancy/{device.name}")
         occupancy.adjust(engine.now, +1)
         ctx = TaskContext(self, task, device.name)
-        ctx.span = task_span
         ctx.inputs = list(self._inboxes[task.name])
         try:
             behaviour = task.fn if task.fn is not None else _default_behaviour

@@ -4,9 +4,9 @@ import pytest
 
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
-from repro.memory.pointers import HotnessTracker
 from repro.memory.properties import MemoryProperties
 from repro.memory.structures import RemoteArray, RemoteHashMap, StructureError
+from repro.obs.telemetry import SampledHotness
 
 KiB = 1024
 
@@ -97,7 +97,7 @@ class TestRemoteArray:
 
     def test_hotness_feed(self, env):
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = SampledHotness(rate=1, k=1, half_life_ns=1e6)
         region = mm.allocate_on("dram0", 8 * KiB, MemoryProperties(), owner="a")
         array = RemoteArray(cluster, region, "cpu0", 64, tracker=tracker)
         run(cluster, array.get(0))

@@ -4,9 +4,15 @@ import pytest
 
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
-from repro.memory.pointers import HotnessTracker, RemotePointer
+from repro.memory.pointers import RemotePointer
 from repro.memory.properties import LatencyClass, MemoryProperties
 from repro.memory.tiering import TieringDaemon, TieringPolicy
+from repro.obs.telemetry import SampledHotness
+
+
+def exact_tracker(half_life_ns=1e6):
+    """Hotness with every access counted (rate 1) and room to spare."""
+    return SampledHotness(rate=1, k=8, half_life_ns=half_life_ns)
 
 
 @pytest.fixture
@@ -17,14 +23,14 @@ def env():
 
 class TestHotnessTracker:
     def test_accumulates_and_decays(self):
-        tracker = HotnessTracker(half_life_ns=1000.0)
+        tracker = exact_tracker(half_life_ns=1000.0)
         tracker.record(1, 100.0, time=0.0)
         assert tracker.hotness(1, 0.0) == pytest.approx(100.0)
         assert tracker.hotness(1, 1000.0) == pytest.approx(50.0)
         assert tracker.hotness(1, 2000.0) == pytest.approx(25.0)
 
     def test_repeated_access_beats_one_big_access_later(self):
-        tracker = HotnessTracker(half_life_ns=1000.0)
+        tracker = exact_tracker(half_life_ns=1000.0)
         for t in range(10):
             tracker.record(1, 100.0, time=float(t * 100))
         tracker.record(2, 300.0, time=900.0)
@@ -32,23 +38,23 @@ class TestHotnessTracker:
         assert ranked[0][0] == 1
 
     def test_unknown_region_is_cold(self):
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         assert tracker.hotness(42, 100.0) == 0.0
 
     def test_forget(self):
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         tracker.record(1, 10.0, 0.0)
         tracker.forget(1)
         assert tracker.hotness(1, 0.0) == 0.0
 
     def test_negative_bytes_rejected(self):
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         with pytest.raises(ValueError):
             tracker.record(1, -1.0, 0.0)
 
     def test_invalid_half_life_rejected(self):
         with pytest.raises(ValueError):
-            HotnessTracker(half_life_ns=0.0)
+            SampledHotness(rate=1, half_life_ns=0.0)
 
 
 class TestRemotePointer:
@@ -73,7 +79,7 @@ class TestRemotePointer:
 
     def test_dereference_records_hotness(self, env):
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         region = mm.allocate_on("dram0", 4096, MemoryProperties(), owner="t1")
         ptr = RemotePointer(cluster, region, tracker=tracker)
 
@@ -97,7 +103,7 @@ class TestTiering:
 
     def test_tier_order_fastest_first(self, env):
         cluster, mm = env
-        policy = self.make_policy(cluster, mm, HotnessTracker())
+        policy = self.make_policy(cluster, mm, exact_tracker())
         names = [d.name for d in policy.tier_order()]
         assert names.index("cache0") < names.index("dram0") < names.index("cxl0")
         assert names.index("cxl0") < names.index("far0")
@@ -105,7 +111,7 @@ class TestTiering:
 
     def test_hot_region_on_slow_tier_promoted(self, env):
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         region = mm.allocate_on("far0", 4096, MemoryProperties(), owner="t1")
         tracker.record(region.id, 1e6, time=0.0)
         policy = self.make_policy(cluster, mm, tracker)
@@ -116,7 +122,7 @@ class TestTiering:
 
     def test_cold_region_not_promoted(self, env):
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         mm.allocate_on("far0", 4096, MemoryProperties(), owner="t1")
         policy = self.make_policy(cluster, mm, tracker)
         assert policy.decide(time=0.0) == []
@@ -126,7 +132,7 @@ class TestTiering:
         that only offers MEDIUM/HIGH — and vice versa the policy must not
         promote into a tier violating other constraints."""
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         region = mm.allocate_on(
             "pmem0", 4096, MemoryProperties(persistent=True), owner="t1"
         )
@@ -137,7 +143,7 @@ class TestTiering:
 
     def test_demotion_from_full_tier(self, env):
         cluster, mm = env
-        tracker = HotnessTracker()
+        tracker = exact_tracker()
         # Fill cache0 (fastest tier) past the watermark with cold regions.
         cache = cluster.memory["cache0"]
         region = mm.allocate_on(
@@ -152,7 +158,7 @@ class TestTiering:
 
     def test_daemon_migrates_hot_region_up(self, env):
         cluster, mm = env
-        tracker = HotnessTracker(half_life_ns=1e9)
+        tracker = exact_tracker(half_life_ns=1e9)
         region = mm.allocate_on("far0", 64 * 1024, MemoryProperties(), owner="t1")
         tracker.record(region.id, 1e9, time=0.0)
         policy = self.make_policy(cluster, mm, tracker)
@@ -165,6 +171,6 @@ class TestTiering:
 
     def test_daemon_interval_validation(self, env):
         cluster, mm = env
-        policy = self.make_policy(cluster, mm, HotnessTracker())
+        policy = self.make_policy(cluster, mm, exact_tracker())
         with pytest.raises(ValueError):
             TieringDaemon(policy, interval_ns=0.0)

@@ -7,6 +7,7 @@ from repro.apps import build_hospital_job
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import Cluster
 from repro.metrics import Profile
+from repro.obs.causal import critical_path
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -15,7 +16,7 @@ MiB = 1024 * KiB
 @pytest.fixture
 def profiled_run():
     cluster = Cluster.preset("pooled-rack",
-                             trace_categories={"profile", "memory"})
+                             trace_categories={"causal", "memory"})
     session = connect(cluster=cluster)
     job = Job("profiled")
     a = job.add_task(Task("produce", work=WorkSpec(
@@ -117,7 +118,7 @@ class TestProfile:
     def test_profile_isolates_one_job(self):
         """Two jobs traced together: each profile sees only its own."""
         cluster = Cluster.preset("pooled-rack",
-                                 trace_categories={"profile"})
+                                 trace_categories={"causal"})
         session = connect(cluster=cluster)
         stats = {}
         for name in ("alpha", "beta"):
@@ -138,7 +139,7 @@ class TestProfile:
         big sequential weights dominate traffic.  That distinction is
         exactly the cross-layer attribution challenge 8(1) asks for."""
         cluster = Cluster.preset("pooled-rack",
-                                 trace_categories={"profile"})
+                                 trace_categories={"causal"})
         session = connect(cluster=cluster)
         stats = session.run(build_hospital_job())
         profile = Profile.from_run(cluster, stats)
@@ -147,3 +148,52 @@ class TestProfile:
         assert "track_hours#scratch" in hottest_by_time
         hottest_by_bytes = max(by_region, key=lambda n: by_region[n][1])
         assert "face_recognition#scratch" in hottest_by_bytes
+
+    def test_hospital_critical_path_is_the_causal_path(self):
+        """The profiler's critical path is the causal DAG's: on the
+        hospital job it ends at ``track_hours``, the last task to
+        finish, not at an earlier task that merely chained serially."""
+        cluster = Cluster.preset("pooled-rack", seed=11,
+                                 trace_categories={"causal"})
+        with connect(cluster=cluster) as session:
+            stats = session.run(build_hospital_job(n_frames=64))
+        profile = Profile.from_run(cluster, stats)
+        path = profile.critical_path()
+        assert path[-1] == "track_hours"
+        last = max(stats.tasks.values(), key=lambda t: t.finished_at)
+        assert last.name == "track_hours"
+        graph = next(iter(cluster.obs.causal.jobs.values()))
+        causal_tasks = []
+        for nid in critical_path(graph):
+            task = graph.nodes[nid].task
+            if task:
+                name = task.split("/", 1)[1]
+                if name not in causal_tasks:
+                    causal_tasks.append(name)
+        assert path == causal_tasks
+
+    def test_from_run_without_causal_graph_raises(self):
+        """No silent empty profile: with causal tracing off, or with
+        the job's graph evicted past ``max_jobs``, ``from_run`` says
+        which trace category it needs."""
+        cluster = Cluster.preset("pooled-rack", trace_categories={"task"})
+        stats = connect(cluster=cluster).run(_one_task_job("quiet"))
+        with pytest.raises(ValueError, match=r'trace_categories=\{"causal"\}'):
+            Profile.from_run(cluster, stats)
+
+        cluster = Cluster.preset("pooled-rack",
+                                 trace_categories={"causal"})
+        cluster.obs.causal.max_jobs = 1
+        session = connect(cluster=cluster)
+        first = session.run(_one_task_job("first"))
+        second = session.run(_one_task_job("second"))
+        assert Profile.from_run(cluster, second).phases
+        with pytest.raises(ValueError, match=r'trace_categories=\{"causal"\}'):
+            Profile.from_run(cluster, first)
+
+
+def _one_task_job(name):
+    job = Job(name)
+    job.add_task(Task("t", work=WorkSpec(
+        ops=1e5, scratch=RegionUsage(1 * MiB, touches=1.0))))
+    return job

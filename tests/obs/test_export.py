@@ -27,7 +27,7 @@ import obs_report  # noqa: E402
 def traced_run():
     """A real job run with every relevant category recording."""
     cluster = Cluster.preset("pooled-rack")
-    cluster.obs.enable("job", "task", "profile", "flow", "placement", "sched")
+    cluster.obs.enable("job", "task", "flow", "placement", "sched")
     session = connect(cluster=cluster)
     job = Job("pipe")
     a = job.add_task(Task("produce", work=WorkSpec(

@@ -1,5 +1,7 @@
 """Continuous telemetry: windowed series, burn alerts, sampled hotness."""
 
+import random
+
 import pytest
 
 from repro.obs import Observability
@@ -408,21 +410,40 @@ class TestSampledHotness:
         top = [key for key, _ in sketch.top(1)]
         assert top == ["hot"]
 
-    def test_pointers_tracker_api_compat(self):
-        from repro.memory.pointers import HotnessTracker
+    def test_rate_one_matches_exact_decayed_sum(self):
+        """Rate 1 with room for every key is exact full counting: each
+        score equals the decayed sum of its accesses, recomputed here
+        from the raw access log."""
+        rng = random.Random(7)
+        half_life = 1e4
+        keys = list(range(20))
+        tracker = SampledHotness(rate=1, k=len(keys) // 2,
+                                 half_life_ns=half_life)
+        log = []
+        t = 0.0
+        for _ in range(2000):
+            t += rng.expovariate(1 / 50.0)
+            key, nbytes = rng.choice(keys), rng.uniform(0.0, 4096.0)
+            tracker.record(key, nbytes, t)
+            log.append((key, nbytes, t))
 
-        full = HotnessTracker(half_life_ns=1e6)
-        sampled = SampledHotness(rate=1, k=8, half_life_ns=1e6)
-        for tracker in (full, sampled):
-            tracker.record(1, 4096.0, 0.0)
-            tracker.record(2, 1024.0, 10.0)
-        assert full.hotness(1, 10.0) > 0 and sampled.hotness(1, 10.0) > 0
-        assert [k for k, _ in full.ranked(10.0)] == [
-            k for k, _ in sampled.ranked(10.0)
-        ]
-        full.forget(1)
-        sampled.forget(1)
-        assert full.hotness(1, 10.0) == sampled.hotness(1, 10.0) == 0.0
+        def oracle(key, now):
+            return sum(b * 0.5 ** ((now - at) / half_life)
+                       for k, b, at in log if k == key)
+
+        now = t + 3e3
+        expected = {key: oracle(key, now) for key in keys}
+        assert tracker.evictions == 0
+        for key in keys:
+            assert tracker.hotness(key, now) == pytest.approx(
+                expected[key], rel=1e-9)
+        ranked = tracker.ranked(now)
+        assert [k for k, _ in ranked] == sorted(
+            keys, key=lambda k: -expected[k])
+        tracker.forget(keys[0])
+        assert tracker.hotness(keys[0], now) == 0.0
+        with pytest.raises(ValueError):
+            tracker.record(keys[1], -1.0, now)
 
     def test_decay_halves_score_per_half_life(self):
         sketch = SampledHotness(rate=1, k=4, half_life_ns=100.0)

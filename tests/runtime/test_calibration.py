@@ -31,7 +31,7 @@ def run_round(session, cm, cluster, tag, n_jobs=4):
 
 @pytest.fixture
 def env():
-    cluster = Cluster.preset("pooled-rack", trace_categories={"profile"})
+    cluster = Cluster.preset("pooled-rack", trace_categories={"causal"})
     return cluster, connect(cluster=cluster), CalibratedCostModel(cluster)
 
 

@@ -189,6 +189,21 @@ def test_no_slice_stepping_drive_loops():
     assert not offenders, offenders
 
 
+def test_one_phase_record_and_one_hotness_tracker():
+    """The causal DAG is the only per-phase record and SampledHotness
+    the only hotness tracker: nothing under ``src/`` opens a
+    ``"profile"`` span or defines a ``HotnessTracker`` class."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ("span(" in line and '"profile"' in line)
+        or line.lstrip().startswith("class HotnessTracker")
+    ]
+    assert not offenders, offenders
+
+
 def test_no_private_top_level_modules():
     """The deprecation plumbing module went with the shims it served."""
     top_level = {info.name for info in pkgutil.iter_modules(repro.__path__)}
