@@ -162,8 +162,8 @@ def bench_flows_2k_telemetry(
 
     Identical workload, but an :class:`~repro.obs.Observability` hub
     rides along doing everything the telemetry layer does in a real
-    run: watchers over the engine/flow counters folded by a ``pump``
-    process once per 50µs window (~430 windows over the run), a
+    run: watchers over the engine/flow counters folded on the engine
+    clock at every 50µs window boundary (~430 windows over the run), a
     per-flow pushed sample, and 1/64-sampled hotness on every
     transfer.  ``scripts/perf_report.py --check``
     gates the wall-clock ratio against plain ``flows_2k`` (<10%
@@ -182,7 +182,6 @@ def bench_flows_2k_telemetry(
     hub.watch("flow.bytes", lambda: net.bytes_completed, kind="rate")
     hub.watch("flow.transfers", lambda: float(net.completed_transfers),
               kind="rate")
-    engine.process(hub.pump(engine))  # one poll per window
     # Hot-path push idiom: hold the series handle, skip the name lookup.
     requested = hub.series("flow.requested_bytes", "sample")
     hotness = hub.hotness

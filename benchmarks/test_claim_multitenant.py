@@ -52,8 +52,7 @@ def test_claim_multitenant_rack(benchmark, report):
     def experiment():
         for cap in (1, 4, 16):
             cluster = Cluster.preset("pooled-rack", seed=47)
-            session = connect(cluster=cluster, max_concurrent=cap,
-                              sample_interval_ns=50_000.0)
+            session = connect(cluster=cluster, max_concurrent=cap)
             stats = session.run_trace(make_trace(seed=47))
             horizon = cluster.engine.now
             results[cap] = {

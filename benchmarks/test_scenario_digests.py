@@ -23,10 +23,10 @@ BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenario_bench"
 
 #: (workload, stream) -> (digest, engine events from setup to the end).
 PINNED = {
-    ("llm_serve", 16): ("45cbab4c779fa22d", 36262),
-    ("llm_serve", 1552): ("82e475be6fd480b5", 37231),
-    ("tenant_mix", 16): ("0ddb8e447df35401", 59442),
-    ("tenant_mix", 1552): ("76c289418b1f0345", 59220),
+    ("llm_serve", 16): ("45cbab4c779fa22d", 35025),
+    ("llm_serve", 1552): ("82e475be6fd480b5", 35872),
+    ("tenant_mix", 16): ("0ddb8e447df35401", 54323),
+    ("tenant_mix", 1552): ("76c289418b1f0345", 53900),
     ("fault_storm", 16): ("9be607f5d84a28f1", 129106),
     ("fault_storm", 1552): ("00d9c790730719fe", 128769),
 }

@@ -63,8 +63,10 @@ def main() -> None:
     last_session = None
     for cap in (2, 8):
         cluster = Cluster.preset("pooled-rack", seed=5)
-        session = connect_tenants(cluster, max_concurrent=cap,
-                                  sample_interval_ns=25_000.0)
+        # Sample pool memory every 25 us: the hub's window is the
+        # cadence of every telemetry fold.
+        cluster.obs.telemetry.configure(window_ns=25_000.0)
+        session = connect_tenants(cluster, max_concurrent=cap)
         stats = session.run_trace(make_trace())
         horizon = cluster.engine.now
         table.add_row(

@@ -134,9 +134,9 @@ def check(current: dict, baseline: dict, threshold: float,
         if ratio > causal_overhead:
             failures.append(("causal_overhead", ratio))
 
-    # Continuous telemetry prices itself the same way: watchers + pump
-    # + per-flow samples + sampled hotness on the identical workload
-    # must stay within the overhead bar.
+    # Continuous telemetry prices itself the same way: watchers folded
+    # on the engine clock + per-flow samples + sampled hotness on the
+    # identical workload must stay within the overhead bar.
     ratio, n = paired_ratio("flows_2k_telemetry")
     if ratio is not None:
         verdict = "OK" if ratio <= telemetry_overhead else "REGRESSION"

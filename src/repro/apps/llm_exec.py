@@ -369,9 +369,9 @@ class LLMEngine:
         records: typing.List[RequestRecord] = []
         state = {"settled": 0, "dispatched": 0, "last_settle": engine.now}
         all_settled = engine.event()
-        telem = self.rts.cluster.obs.telemetry
-        telem.watch("llm.prefix_pinned_bytes",
-                    self.cache.pinned_bytes, kind="level")
+        self.rts.cluster.obs.telemetry.watch(
+            "llm.prefix_pinned_bytes", self.cache.pinned_bytes, kind="level"
+        )
         start_hits = self.cache.hits
         start_ns = engine.now
 
@@ -421,7 +421,6 @@ class LLMEngine:
                 dispatch(pending.pop(0))
 
         self.session.driver.drive(all_settled)
-        telem.poll(engine.now)
         return ServeResult(
             records=records,
             horizon_ns=state["last_settle"] - start_ns,

@@ -124,18 +124,11 @@ class Rack:
         return (self.queued + self.running) / max(1, self.slots)
 
     def sample(self, now: float) -> float:
-        """Record the current load into the stats window; returns it.
-
-        Also feeds the rack's continuous telemetry: the load level and
-        a watcher poll, so federated racks get per-window series and
-        burn-rate sweeps at the heartbeat cadence even without a local
-        trace-driver sampler running.
-        """
+        """Record the current load into the stats window and the
+        rack's ``fed.load`` telemetry level; returns it."""
         load = self.load()
         self.window.observe(now, load)
-        telem = self.obs.telemetry
-        telem.record_level("fed.load", now, load)
-        telem.poll(now)
+        self.obs.telemetry.record_level("fed.load", now, load)
         return load
 
     def load_score(self, now: float) -> float:

@@ -50,9 +50,13 @@ class Cluster:
         self.obs = Observability(trace=self.trace, engine=self.engine)
         self.obs.registry.add_collector(self._collect_hardware_metrics)
         self.flownet = FlowNetwork(self.engine, trace=self.trace)
+        self.topology = Topology()
+        self.memory: typing.Dict[str, MemoryDevice] = {}
+        self.compute: typing.Dict[str, ComputeDevice] = {}
         # Default hub watchers: per-window event/traffic rates and queue
-        # depth, folded on every telemetry poll (admission sampler,
-        # federation heartbeat, or an explicit hub.pump process).
+        # depth, folded at every window boundary the engine clock
+        # crosses.  After the device maps: a rate watcher reads its
+        # baseline when it is registered.
         telem = self.obs.telemetry
         telem.watch("engine.events", lambda: self.engine.events_processed,
                     kind="rate")
@@ -63,9 +67,6 @@ class Cluster:
         telem.watch("flow.transfers",
                     lambda: self.flownet.completed_transfers, kind="rate")
         telem.watch("util.compute", self._compute_busy_total, kind="rate")
-        self.topology = Topology()
-        self.memory: typing.Dict[str, MemoryDevice] = {}
-        self.compute: typing.Dict[str, ComputeDevice] = {}
         #: node name -> set of device names in that failure domain
         self.nodes: typing.Dict[str, set] = {}
         self.faults = FaultInjector(self.engine, self.streams, self.trace)

@@ -20,6 +20,7 @@ granularity amplification, and interface rules all apply.
 
 from __future__ import annotations
 
+import hashlib
 import typing
 
 from repro.hardware.cluster import Cluster
@@ -163,7 +164,12 @@ class RemoteHashMap(_RemoteStructure):
         return self.size / self.capacity
 
     def _slot_of(self, key) -> int:
-        return hash(key) % self.capacity
+        # Not ``hash()``: string hashes are salted per process, and the
+        # slot decides the probe count, so the simulated latencies.  Not
+        # a CRC either: its low bits barely collide on sequential keys,
+        # so probe costs would not grow with load as they should.
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
+        return int.from_bytes(digest, "little") % self.capacity
 
     def _probe_access(self, is_write: bool):
         self._note(self.slot_size)

@@ -24,8 +24,8 @@ package is the measurement substrate that makes every layer answerable:
 
 Every :class:`~repro.hardware.cluster.Cluster` owns an
 :class:`Observability` instance as ``cluster.obs``.  The disabled path
-is near-zero-cost: when a trace category is off, :meth:`Observability.span`
-returns a shared no-op span and instrumented call sites guard field
+is near-zero-cost: when a trace category is off,
+:meth:`Observability.begin_span` returns a shared no-op span and instrumented call sites guard field
 construction with ``if sp:`` / :meth:`Observability.on`, so nothing is
 allocated.
 """
@@ -60,7 +60,7 @@ class Observability:
     :class:`TraceLog` as the event backend.  Usable standalone in tests::
 
         obs = Observability()
-        with obs.span("cat", "work") as sp:
+        with obs.begin_span("cat", "work") as sp:
             sp.set(items=3)
     """
 
@@ -116,18 +116,6 @@ class Observability:
         if self.trace.wants(category):
             self.trace.emit(self.now(), category, name, **fields)
 
-    def span(
-        self,
-        category: str,
-        name: str,
-        parent: typing.Union[Span, int, None] = None,
-        **fields,
-    ):
-        """A context-manager span (no-op when the category is off)."""
-        if not self.trace.wants(category):
-            return NOOP_SPAN
-        return Span(self, category, name, fields, parent)
-
     def begin_span(
         self,
         category: str,
@@ -135,8 +123,9 @@ class Observability:
         parent: typing.Union[Span, int, None] = None,
         **fields,
     ):
-        """An explicit span for scopes crossing simulation processes;
-        the caller must :meth:`Span.close` it."""
+        """A span (a no-op when the category is off): close it with
+        :meth:`Span.close`, or use it as a context manager within one
+        generator frame."""
         if not self.trace.wants(category):
             return NOOP_SPAN
         return Span(self, category, name, fields, parent)

@@ -11,7 +11,7 @@ Two usage styles:
 
 * scoped (single generator frame)::
 
-      with obs.span("placement", "decide", parent=task_span) as sp:
+      with obs.begin_span("placement", "decide", parent=task_span) as sp:
           ...
           if sp:
               sp.set(device=chosen, candidates=n)
@@ -23,8 +23,8 @@ Two usage styles:
       span.set(ok=True)
       span.close()
 
-When a span's category is disabled, :meth:`Observability.span` returns
-the shared :data:`NOOP_SPAN` — falsy, stateless, reentrant — so the
+When a span's category is disabled, :meth:`Observability.begin_span`
+returns the shared :data:`NOOP_SPAN` — falsy, stateless, reentrant — so the
 disabled path allocates nothing and call sites can guard field
 construction with ``if sp:``.
 """

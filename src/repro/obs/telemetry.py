@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import time as _time
 import typing
 
@@ -444,9 +445,11 @@ class AlertEngine:
 
     Driven from two directions: every SLO observation re-evaluates its
     own workload's rule (detection delay is bounded by the traffic
-    itself), and every hub poll sweeps all rules (so alerts close when
-    traffic stops arriving).  Open/close transitions are recorded as
-    ``alert``-category spans plus instant events and counters.
+    itself), and the hub's fold re-evaluates open alerts at every window
+    boundary the clock crosses (so an alert closes at the boundary where
+    its burn drops, even when traffic has stopped).  Open/close
+    transitions are recorded as ``alert``-category spans plus instant
+    events and counters, stamped with the instant of the evaluation.
     """
 
     MAX_LOG = 256
@@ -462,6 +465,7 @@ class AlertEngine:
     def add_rule(self, rule: BurnRateRule) -> BurnRateRule:
         """Install (or replace) the rule for one workload."""
         self.rules[rule.workload] = rule
+        self.hub._arm()
         return rule
 
     def burn_over(
@@ -511,8 +515,9 @@ class AlertEngine:
                 self._close(alert, now, fast or 0.0, slow or 0.0)
 
     def sweep(self, now: float) -> None:
-        """Re-evaluate every rule (called from the hub's poll)."""
-        for workload in self.rules:
+        """Re-evaluate the open alerts' rules (called from the hub's fold;
+        alerts open only on observations, at the observation's time)."""
+        for workload in list(self.active):
             self.evaluate(workload, now)
 
     def _open(self, rule: BurnRateRule, now: float,
@@ -538,16 +543,18 @@ class AlertEngine:
         alert.closed_at = now
         obs = self.hub.obs
         if obs is not None:
-            obs.event(
-                "alert", "close", workload=alert.workload, scope=alert.scope,
-                fast_burn=round(fast, 3), slow_burn=round(slow, 3),
-                peak_burn=round(alert.peak_burn, 3),
-                duration=now - alert.opened_at,
-            )
+            if obs.on("alert"):
+                obs.trace.emit(
+                    now, "alert", "close", workload=alert.workload,
+                    scope=alert.scope, fast_burn=round(fast, 3),
+                    slow_burn=round(slow, 3),
+                    peak_burn=round(alert.peak_burn, 3),
+                    duration=now - alert.opened_at,
+                )
             obs.counter("telemetry.alerts_closed").inc()
         if alert.span is not None:
             alert.span.set(peak_burn=round(alert.peak_burn, 3))
-            alert.span.close()
+            alert.span.close(now)
             alert.span = None
         del self.active[alert.workload]
         self.log.append(alert)
@@ -562,7 +569,7 @@ class AlertEngine:
                 alert.span.set(
                     peak_burn=round(alert.peak_burn, 3), still_open=True
                 )
-                alert.span.close()
+                alert.span.close(now)
                 alert.span = None
 
     def data(self) -> dict:
@@ -675,8 +682,6 @@ class SampledHotness:
     def _decay_factor(self, elapsed: float) -> float:
         if elapsed <= 0 or not self.decay:
             return 1.0
-        import math
-
         return math.exp(-self.decay * elapsed)
 
     # -- queries ----------------------------------------------------------
@@ -735,15 +740,14 @@ class SampledHotness:
 
 
 class _Watcher:
-    """One polled fold source: a cumulative/level/sample callable."""
+    """One folded source: a cumulative counter or a level callable."""
 
-    __slots__ = ("series", "fn", "mode", "last")
+    __slots__ = ("series", "fn", "rate", "last", "sink")
 
-    def __init__(self, series: WindowedSeries, fn, mode: str):
-        self.series = series
-        self.fn = fn
-        self.mode = mode  # "rate" | "level" | "latency"
-        self.last = None
+    def __init__(self, series: WindowedSeries, fn, rate: bool, sink):
+        self.series, self.fn, self.rate, self.sink = series, fn, rate, sink
+        #: Counter value at the last fold (rate watchers only).
+        self.last = float(fn()) if rate else 0.0
 
 
 class TelemetryHub:
@@ -754,19 +758,18 @@ class TelemetryHub:
     * **push** — subsystems call :meth:`record` / :meth:`record_level`
       / :meth:`add` at the instant something happens;
     * **watch** — :meth:`watch` registers a zero-argument callable
-      (or :meth:`watch_counter` / :meth:`watch_gauge` /
-      :meth:`watch_timeline` / :meth:`watch_latency` an existing
-      registry instrument) folded on every :meth:`poll`;
+      folded at every window boundary;
     * **SLO feed** — the :class:`~repro.obs.slo.SloTracker` calls
       :meth:`slo_observation` on every recorded completion, producing
       the windowed total/missed/latency series the
       :class:`AlertEngine` burns rules over.
 
-    Polling is driven by whoever owns a convenient cadence (the
-    admission sampler, the federation heartbeat, or a :meth:`pump`
-    process in standalone benches); alert *detection* additionally
-    rides every SLO observation, so a breach is noticed within one
-    observation of the fast window filling, pump or no pump.
+    The engine clock is the one cadence: the first watcher or alert
+    rule arms an :meth:`~repro.sim.engine.Engine.watch_clock` that
+    calls :meth:`poll` before the first event past each window
+    boundary; :meth:`finalize` folds the last partial window.  Alert
+    *detection* rides every SLO observation, so a breach is noticed
+    within one observation of the fast window filling.
     """
 
     def __init__(
@@ -781,14 +784,16 @@ class TelemetryHub:
         self.window_ns = float(window_ns)
         self.max_windows = int(max_windows)
         self._series: typing.Dict[str, WindowedSeries] = {}
-        self._watchers: typing.List[_Watcher] = []
+        self._watchers: typing.Dict[str, _Watcher] = {}
         self.alerts = AlertEngine(self)
         self.hotness = SampledHotness(rate=hotness_rate, k=hotness_k)
         # -- self-metering (obs.telemetry.*) --
         self.polls = 0
         self.samples = 0
         self.self_wall_s = 0.0
-        self._pump_proc = None
+        #: The next window boundary to fold.
+        self._next = self.window_ns
+        self._armed = False
         #: Set by :meth:`finalize`; session ``close()`` relies on it.
         self.finalized = False
 
@@ -801,11 +806,17 @@ class TelemetryHub:
         hotness_rate: typing.Optional[int] = None,
         hotness_k: typing.Optional[int] = None,
     ) -> "TelemetryHub":
-        """Re-size the defaults (applies to series created afterwards)."""
+        """Re-size the defaults (applies to series created afterwards;
+        a new ``window_ns`` is also the fold cadence from the next
+        boundary on)."""
         if window_ns is not None:
             if window_ns <= 0:
                 raise ValueError("window width must be positive")
+            folded = max(self._next - self.window_ns, self.now())
             self.window_ns = float(window_ns)
+            self._next = self._boundary_after(folded)
+            if self._armed:
+                self.obs.engine.watch_clock(self._next, self._on_clock)
         if max_windows is not None:
             if max_windows < 1:
                 raise ValueError("max_windows must be >= 1")
@@ -869,11 +880,6 @@ class TelemetryHub:
         self.samples += 1
         self.series(name, "level").record_level(t, level)
 
-    def adjust(self, name: str, t: float, delta: float) -> None:
-        """Shift a level series by ``delta``."""
-        self.samples += 1
-        self.series(name, "level").adjust(t, delta)
-
     def add(self, name: str, t: float, delta: float) -> None:
         """Push one counter delta."""
         self.samples += 1
@@ -882,110 +888,93 @@ class TelemetryHub:
     # -- watchers ----------------------------------------------------------
 
     def watch(self, name: str, fn: typing.Callable[[], float],
-              kind: str = "rate") -> WindowedSeries:
-        """Fold ``fn()`` into ``name`` on every poll.
+              kind: str = "rate",
+              sink: typing.Optional[typing.Callable[[float, float], None]]
+              = None) -> WindowedSeries:
+        """Fold ``fn()`` into ``name`` at every window boundary.
 
-        ``kind="rate"`` treats ``fn`` as a cumulative counter (the
-        per-poll delta is folded); ``kind="level"`` samples it as a
-        piecewise-constant level; ``kind="sample"`` folds the raw value
-        as a discrete observation.
+        ``kind="rate"`` treats ``fn`` as a cumulative counter: the
+        growth since the watch began (or since the last fold) lands in
+        the window it happened in.  ``kind="level"`` samples ``fn`` as
+        a piecewise-constant level at the boundary instant, and hands
+        each ``(time, value)`` sample to ``sink`` too when one is given.
         """
-        mode = "rate" if kind == "rate" else kind
+        if kind not in ("rate", "level"):
+            raise ValueError(f"watch kind must be rate or level: {kind!r}")
         series = self.series(name, kind)
-        for watcher in self._watchers:
-            # Re-registering a name replaces its source (e.g. a rebuilt
-            # runtime on the same cluster) instead of double-folding.
-            if watcher.series is series:
-                watcher.fn = fn
-                watcher.mode = mode
-                watcher.last = None
-                return series
-        self._watchers.append(_Watcher(series, fn, mode))
+        # Re-registering a name replaces its source (e.g. a rebuilt
+        # runtime on the same cluster) instead of double-folding.
+        self._watchers[name] = _Watcher(series, fn, kind == "rate", sink)
+        self._arm()
         return series
 
-    def watch_counter(self, counter) -> WindowedSeries:
-        """Fold a registry :class:`~repro.obs.metrics.Counter`."""
-        return self.watch(counter.name, lambda: counter.value, kind="rate")
+    # -- the fold ----------------------------------------------------------
 
-    def watch_gauge(self, gauge) -> WindowedSeries:
-        """Sample a registry :class:`~repro.obs.metrics.Gauge`."""
-        return self.watch(gauge.name, lambda: gauge.value, kind="level")
+    def _arm(self) -> None:
+        """Arm the clock watch once, if there is an engine to watch."""
+        obs = self.obs
+        if self._armed or obs is None or obs.engine is None:
+            return
+        self._armed = True
+        self._next = self._boundary_after(obs.engine.now)
+        obs.engine.watch_clock(self._next, self._on_clock)
 
-    def watch_timeline(self, timeline) -> WindowedSeries:
-        """Sample a registry :class:`~repro.obs.metrics.Timeline` level."""
-        return self.watch(
-            timeline.name, lambda: timeline.recorder.level, kind="level"
-        )
+    def _boundary_after(self, t: float) -> float:
+        """The first window boundary strictly after ``t``."""
+        width = self.window_ns
+        k = int(t // width) + 1
+        return (k + 1 if k * width <= t else k) * width
 
-    def watch_latency(self, histogram) -> WindowedSeries:
-        """Fold a :class:`~repro.obs.metrics.LatencyHistogram` so each
-        window carries the observations recorded *during* it (count,
-        mean, and in-window p95 via bucket-count deltas)."""
-        series = self.series(
-            name=histogram.name, kind="sample", bounds=histogram.bounds
-        )
-        for watcher in self._watchers:
-            if watcher.series is series:
-                watcher.fn = histogram
-                watcher.mode = "latency"
-                watcher.last = None
-                return series
-        watcher = _Watcher(series, histogram, "latency")
-        self._watchers.append(watcher)
-        return series
-
-    # -- polling -----------------------------------------------------------
+    def _on_clock(self, t: float) -> float:
+        """The engine clock watch: fold, then wake at the next boundary."""
+        self.poll(t)
+        return self._next
 
     def poll(self, now: typing.Optional[float] = None) -> None:
-        """Fold every watcher and sweep the alert rules at ``now``."""
+        """Fold every window boundary crossed up to ``now``.
+
+        Counter growth since the last fold lands in the window it ran
+        in (the clock watch runs before any event past the boundary).
+        Levels are sampled at the first crossed boundary; nothing ran
+        between crossed boundaries, so that sample holds for them all.
+        While an alert is open the rules are swept at each crossed
+        boundary, at most ``slow_ns / window + 1`` of them (the slow
+        window is empty by then), so it closes at the exact boundary.
+        """
         t0 = _time.perf_counter()
         t = self.now() if now is None else now
-        for watcher in self._watchers:
-            series = watcher.series
-            mode = watcher.mode
-            if mode == "rate":
-                value = float(watcher.fn())
-                last = watcher.last
-                if last is not None and (value != last or series._cur is not None):
-                    series.add(t, value - last)
-                watcher.last = value
-            elif mode == "level":
-                series.record_level(t, float(watcher.fn()))
-            elif mode == "latency":
-                hist = watcher.fn
-                if watcher.last is None:
-                    watcher.last = (0, 0.0, [0] * len(hist.counts))
-                count, total, buckets = watcher.last
-                dcount = hist.total - count
-                if dcount > 0:
-                    window = series._roll_to(series.window_index(t))
-                    window.count += dcount
-                    window.total += hist._sum - total
-                    window.vmin = min(window.vmin, hist.minimum)
-                    window.vmax = max(window.vmax, hist.maximum)
-                    for i, n in enumerate(hist.counts):
-                        window.buckets[i] += n - buckets[i]
-                    watcher.last = (hist.total, hist._sum, list(hist.counts))
-            else:  # sample
-                series.observe(t, float(watcher.fn()))
-        self.samples += len(self._watchers)
-        if self.alerts.rules:
-            self.alerts.sweep(t)
+        first = self._next
+        if t >= first:
+            width = self.window_ns
+            self._fold(first, first - 0.5 * width)
+            self._next = self._boundary_after(t)
+            alerts = self.alerts
+            k0 = round(first / width)
+            slow = max((r.slow_ns for r in alerts.rules.values()), default=0)
+            for k in range(k0, min(round(self._next / width),
+                                   k0 + math.ceil(slow / width) + 1)):
+                if not alerts.active:
+                    break
+                alerts.sweep(k * width)
         self.polls += 1
         self.self_wall_s += _time.perf_counter() - t0
 
-    def pump(self, engine, interval_ns: typing.Optional[float] = None):
-        """Generator: poll forever at ``interval_ns`` (a sim process).
-
-        ``proc = engine.process(hub.pump(engine))``; kill the process
-        (or let ``engine.run(until=...)`` abandon it) when done.
-        """
-        interval = interval_ns if interval_ns is not None else self.window_ns
-        if interval <= 0:
-            raise ValueError("pump interval must be positive")
-        while True:
-            self.poll(engine.now)
-            yield engine.timeout(interval)
+    def _fold(self, level_t: float, rate_t: float) -> None:
+        """Sample every watcher: levels at ``level_t``, counter growth
+        into the window holding ``rate_t``."""
+        for watcher in self._watchers.values():
+            value = float(watcher.fn())
+            series = watcher.series
+            if watcher.rate:
+                delta = value - watcher.last
+                watcher.last = value
+                if delta or series._cur is not None:
+                    series.add(rate_t, delta)
+            else:
+                series.record_level(level_t, value)
+                if watcher.sink is not None:
+                    watcher.sink(level_t, value)
+        self.samples += len(self._watchers)
 
     # -- SLO feed ----------------------------------------------------------
 
@@ -1053,9 +1042,11 @@ class TelemetryHub:
         yield "obs.telemetry.alerts_active", float(len(self.alerts.active))
 
     def finalize(self, now: typing.Optional[float] = None) -> None:
-        """End-of-run: final poll + close still-open alert spans."""
+        """End-of-run: fold up to ``now``, including the last partial
+        window, and close still-open alert spans."""
         t = self.now() if now is None else now
         self.poll(t)
+        self._fold(t, t)
         self.alerts.finalize(t)
         self.finalized = True
 

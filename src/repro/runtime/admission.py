@@ -81,7 +81,9 @@ class AdmittedJob:
 @dataclasses.dataclass
 class RackStats:
     jobs: typing.List[AdmittedJob] = dataclasses.field(default_factory=list)
-    memory_utilization: typing.Optional[MetricRecorder] = None
+    memory_utilization: MetricRecorder = dataclasses.field(
+        default_factory=MetricRecorder
+    )
     peak_concurrency: int = 0
     preemptions: int = 0
 
@@ -109,8 +111,6 @@ class RackStats:
 
     def mean_memory_utilization(self, until: float) -> float:
         """Time-weighted mean pool utilization over the sampled window."""
-        if self.memory_utilization is None:
-            return 0.0
         return self.memory_utilization.time_weighted_mean(until)
 
     def by_tenant(self, tenant: str) -> typing.List[AdmittedJob]:
@@ -146,7 +146,6 @@ class RackDriver:
         rts: RuntimeSystem,
         max_concurrent: int = 8,
         memory_headroom: float = 0.05,
-        sample_interval_ns: float = 100_000.0,
         shed_below_capacity_fraction: float = 0.0,
         tenants: typing.Optional[TenantRegistry] = None,
         policy: str = "wfq",
@@ -172,7 +171,6 @@ class RackDriver:
         self.rts = rts
         self.max_concurrent = max_concurrent
         self.memory_headroom = memory_headroom
-        self.sample_interval_ns = sample_interval_ns
         #: Reject (shed) queued jobs while the *surviving* memory
         #: capacity — devices that are up and usable per the health
         #: monitor — is below this fraction of the rack's total.  0
@@ -207,7 +205,7 @@ class RackDriver:
         #: (victim scan); completion removes its own entry in O(1).
         self._active: typing.Dict[int, AdmittedJob] = {}
         self._retry_scheduled = False
-        self.stats = RackStats(memory_utilization=MetricRecorder())
+        self.stats = RackStats()
         obs = rts.cluster.obs
         self._obs = obs
         self._running_tl = obs.timeline("rack.running")
@@ -215,8 +213,15 @@ class RackDriver:
         obs.registry.add_collector(self._collect_tenant_metrics)
         # Continuous telemetry: per-window running/queued levels fold
         # from the timelines the admission paths already record.
-        obs.telemetry.watch_timeline(self._running_tl)
-        obs.telemetry.watch_timeline(self._queued_tl)
+        for timeline in (self._running_tl, self._queued_tl):
+            obs.telemetry.watch(timeline.name,
+                                lambda r=timeline.recorder: r.level,
+                                kind="level")
+
+    def _memory_utilization(self) -> float:
+        memory = self.rts.cluster.memory.values()
+        capacity = sum(d.capacity for d in memory)
+        return sum(d.used for d in memory) / capacity if capacity else 0.0
 
     # -- admission gate ------------------------------------------------------
 
@@ -630,31 +635,20 @@ class RackDriver:
         return self.stats
 
     def drive(self, done: Event) -> None:
-        """Run the clock until ``done`` fires, sampling the rack.
+        """Run the clock until ``done`` fires, then let the rest of the
+        schedule (node reboots, repairs) run out.
 
-        The sampler records pool memory utilization and is the rack's
-        telemetry cadence; it stops at ``done``'s instant, so it never
-        keeps the run alive.  The rest of the schedule (node reboots,
-        repairs) then runs out.
+        Pool memory utilization is watched from here on, sampled at each
+        window boundary into ``rack.memory_util`` and
+        ``stats.memory_utilization`` (registered here so the series gets
+        the window width configured by the time the rack runs).
         """
+        self._obs.telemetry.watch(
+            "rack.memory_util", self._memory_utilization, kind="level",
+            sink=self.stats.memory_utilization.record,
+        )
         engine = self.rts.cluster.engine
-        memory = self.rts.cluster.memory.values()
-        telem = self._obs.telemetry
-
-        def sampler():
-            capacity = sum(d.capacity for d in memory)
-            while True:
-                used = sum(d.used for d in memory)
-                util = used / capacity if capacity else 0.0
-                self.stats.memory_utilization.record(engine.now, util)
-                telem.record_level("rack.memory_util", engine.now, util)
-                # Fold every watcher and sweep the burn-rate rules.
-                telem.poll(engine.now)
-                yield engine.timeout(self.sample_interval_ns)
-
-        sampler_proc = engine.process(sampler(), name="rack-sampler")
         engine.run(until=done)
-        sampler_proc.kill()
         engine.run()
 
     # -- per-tenant observability --------------------------------------------

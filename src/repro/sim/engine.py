@@ -42,6 +42,9 @@ class Engine:
         #: Lifetime count of processed events (observability; plain int
         #: so the hot loop pays one increment, nothing more).
         self.events_processed = 0
+        #: Clock watches, ``fn -> wake time``, and the earliest wake.
+        self._watches: typing.Dict[typing.Callable, float] = {}
+        self._wake = _INF
 
     @property
     def now(self) -> float:
@@ -72,11 +75,34 @@ class Engine:
         queue = self._queue
         return queue[0][0] if queue else _INF
 
+    def watch_clock(self, at: float, fn: typing.Callable[[float], float]) -> None:
+        """Call ``fn(t)`` before the first event at or after ``at``.
+
+        ``t`` is that event's time; ``fn`` returns its next wake time.
+        A watch is not an event: it is never queued, never moves the
+        clock and cannot keep a run alive.  Watching again with an equal
+        ``fn`` moves its wake to ``at``.
+        """
+        self._watches[fn] = float(at)
+        self._wake = min(self._watches.values())
+
+    def _run_watches(self, t: float) -> None:
+        if t == _INF:
+            return  # an event parked at infinity has no time to fold to
+        watches = self._watches
+        for fn, wake in list(watches.items()):
+            if wake <= t:
+                watches[fn] = fn(t)
+        self._wake = min(watches.values())
+
     def step(self) -> None:
         """Process the next event, advancing the clock."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise EmptySchedule()
-        self._now, _, _, event = heapq.heappop(self._queue)
+        if queue[0][0] >= self._wake:
+            self._run_watches(queue[0][0])
+        self._now, _, _, event = heapq.heappop(queue)
         self.events_processed += 1
         event._process()
 

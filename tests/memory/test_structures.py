@@ -1,7 +1,14 @@
 """Tests for far-memory data structures (RemoteArray, RemoteHashMap)."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
 from repro.memory.properties import MemoryProperties
@@ -114,12 +121,55 @@ class TestRemoteArray:
             RemoteArray(cluster, region, "cpu0", element_size=128)
 
 
+#: Fills a 64-slot map with string keys and prints each key's slot and
+#: the probe count: what the simulated latencies depend on.
+_SLOTS_SCRIPT = """
+import json
+from repro.hardware import Cluster
+from repro.memory.manager import MemoryManager
+from repro.memory.properties import MemoryProperties
+from repro.memory.structures import RemoteHashMap
+
+cluster = Cluster.preset("table1-host")
+mm = MemoryManager(cluster)
+region = mm.allocate_on("dram0", 64 * 64, MemoryProperties(), owner="app")
+table = RemoteHashMap(cluster, region, "cpu0", slot_size=64)
+keys = [f"user:{i}" for i in range(40)] + [("tuple", 1), 7]
+
+def fill():
+    for key in keys:
+        yield from table.put(key, 0)
+
+cluster.engine.run(until=cluster.engine.process(fill()))
+print(json.dumps({"slots": [table._slot_of(k) for k in keys],
+                  "probes": table.total_probes,
+                  "now": cluster.engine.now}))
+"""
+
+
+def _slots_in_fresh_process(hash_seed: str) -> dict:
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _SLOTS_SCRIPT], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
 class TestRemoteHashMap:
     def make(self, cluster, mm, device="dram0", slots=64):
         region = mm.allocate_on(
             device, slots * 64, MemoryProperties(), owner="app"
         )
         return RemoteHashMap(cluster, region, "cpu0", slot_size=64)
+
+    def test_slots_do_not_depend_on_the_hash_seed(self):
+        """Slots, probe counts and so simulated time are the same in
+        every process, whatever ``PYTHONHASHSEED`` is."""
+        first = _slots_in_fresh_process("1")
+        assert _slots_in_fresh_process("2") == first
+        assert len(set(first["slots"])) > 1
 
     def test_put_get_roundtrip(self, env):
         cluster, mm = env

@@ -14,7 +14,7 @@ def obs():
 
 class TestSpanLifecycle:
     def test_context_manager_emits_span_complete_event(self, obs):
-        with obs.span("cat", "work", items=3) as sp:
+        with obs.begin_span("cat", "work", items=3) as sp:
             obs.engine._now = 50.0
             sp.set(more=True)
         [event] = obs.trace.events
@@ -56,7 +56,7 @@ class TestSpanLifecycle:
 
     def test_exception_recorded_and_propagated(self, obs):
         with pytest.raises(RuntimeError):
-            with obs.span("cat", "work"):
+            with obs.begin_span("cat", "work"):
                 raise RuntimeError("boom")
         [event] = obs.trace.events
         assert "RuntimeError" in event.fields["error"]
@@ -64,8 +64,8 @@ class TestSpanLifecycle:
 
 class TestParenting:
     def test_with_nesting_links_parent(self, obs):
-        with obs.span("cat", "outer") as outer:
-            with obs.span("cat", "inner"):
+        with obs.begin_span("cat", "outer") as outer:
+            with obs.begin_span("cat", "inner"):
                 pass
         inner_ev, outer_ev = obs.trace.events
         assert inner_ev.name == "inner"
@@ -88,13 +88,13 @@ class TestParenting:
     def test_interleaved_exit_removes_self_not_top(self, obs):
         # Two interleaved scopes (as simulation processes produce): A
         # enters, B enters, A exits first.  A must remove itself, not B.
-        a = obs.span("cat", "a")
-        b = obs.span("cat", "b")
+        a = obs.begin_span("cat", "a")
+        b = obs.begin_span("cat", "b")
         a.__enter__()
         b.__enter__()
         a.__exit__(None, None, None)
         assert obs._stack == [b]
-        with obs.span("cat", "c"):
+        with obs.begin_span("cat", "c"):
             pass
         b.__exit__(None, None, None)
         c_ev = [e for e in obs.trace.events if e.name == "c"][0]
@@ -104,9 +104,8 @@ class TestParenting:
 class TestDisabledPath:
     def test_disabled_category_returns_shared_noop(self):
         obs = Observability(trace=TraceLog(enabled={"on"}))
-        assert obs.span("off", "work") is NOOP_SPAN
         assert obs.begin_span("off", "work") is NOOP_SPAN
-        assert obs.span("on", "work") is not NOOP_SPAN
+        assert obs.begin_span("on", "work") is not NOOP_SPAN
 
     def test_noop_span_is_falsy_and_inert(self):
         assert not NOOP_SPAN
@@ -117,12 +116,12 @@ class TestDisabledPath:
             assert sp is NOOP_SPAN
 
     def test_real_span_is_truthy(self, obs):
-        assert obs.span("cat", "work")
+        assert obs.begin_span("cat", "work")
 
     def test_disabled_event_records_nothing(self):
         obs = Observability(trace=TraceLog(enabled=set()))
         obs.event("cat", "thing", n=1)
-        with obs.span("cat", "work"):
+        with obs.begin_span("cat", "work"):
             pass
         assert len(obs.trace) == 0
 

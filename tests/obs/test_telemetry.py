@@ -167,72 +167,58 @@ class TestHubWatchers:
     def test_watch_counter_folds_deltas(self):
         obs = Observability()
         counter = obs.counter("jobs.done")
-        obs.telemetry.watch_counter(counter)
-        obs.telemetry.poll(0.0)  # baseline
+        obs.telemetry.watch("jobs.done", lambda: counter.value)
         counter.inc(3)
         obs.telemetry.poll(100_000.0)
         counter.inc(5)
         obs.telemetry.poll(200_000.0)
         series = obs.telemetry.get_series("jobs.done")
         stats = [series.window_stats(w) for w in series.windows()]
-        # The first poll only sets the baseline; deltas land after it.
-        assert [st["index"] for st in stats] == [1, 2]
+        # The baseline is the value when the watch began; each delta
+        # lands in the window before the boundary that folded it.
+        assert [st["index"] for st in stats] == [0, 1]
         assert [st["total"] for st in stats] == [3.0, 5.0]
 
     def test_rewatching_same_series_does_not_double_fold(self):
         obs = Observability()
         counter = obs.counter("jobs.done")
-        obs.telemetry.watch_counter(counter)
-        obs.telemetry.watch_counter(counter)  # e.g. a rebuilt runtime
-        obs.telemetry.poll(0.0)
+        obs.telemetry.watch("jobs.done", lambda: counter.value)
+        # e.g. a rebuilt runtime
+        obs.telemetry.watch("jobs.done", lambda: counter.value)
         counter.inc(4)
         obs.telemetry.poll(100_000.0)
         series = obs.telemetry.get_series("jobs.done")
         assert series.window_stats(series.windows()[-1])["total"] == 4.0
+        assert obs.telemetry.samples == 1
 
     def test_watch_gauge_samples_level(self):
         obs = Observability()
         gauge = obs.gauge("depth")
         gauge.set(2.0)
-        obs.telemetry.watch_gauge(gauge)
-        obs.telemetry.poll(0.0)
+        samples = []
+        obs.telemetry.watch("depth", lambda: gauge.value, kind="level",
+                            sink=lambda t, v: samples.append((t, v)))
+        obs.telemetry.poll(100_000.0)
         gauge.set(6.0)
-        obs.telemetry.poll(50_000.0)
-        obs.telemetry.poll(100_000.0)
-        series = obs.telemetry.get_series("depth")
-        first = series.window_stats(series.windows()[0])
-        assert first["mean"] == pytest.approx(4.0)  # 2 then 6, half each
-
-    def test_watch_latency_folds_in_window_histogram_deltas(self):
-        obs = Observability()
-        hist = obs.registry.latency("rpc")
-        obs.telemetry.watch_latency(hist)
-        hist.observe(1_000.0)
-        hist.observe(3_000.0)
-        obs.telemetry.poll(100_000.0)
-        hist.observe(9_000.0)
         obs.telemetry.poll(200_000.0)
-        series = obs.telemetry.get_series("rpc")
-        stats = [series.window_stats(w) for w in series.windows()]
-        by_index = {st["index"]: st for st in stats}
-        assert by_index[1]["count"] == 2
-        assert by_index[1]["mean"] == pytest.approx(2_000.0)
-        assert by_index[2]["count"] == 1
-        assert "p95" in by_index[1]
+        obs.telemetry.poll(300_000.0)
+        series = obs.telemetry.get_series("depth")
+        means = {st["index"]: st["mean"]
+                 for st in map(series.window_stats, series.windows())}
+        assert means[1] == pytest.approx(2.0)
+        assert means[2] == pytest.approx(6.0)
+        assert samples == [(100_000.0, 2.0), (200_000.0, 6.0),
+                           (300_000.0, 6.0)]
+
+    def test_watch_rejects_sample_kind(self):
+        with pytest.raises(ValueError, match="rate or level"):
+            TelemetryHub().watch("x", lambda: 1.0, kind="sample")
 
     def test_series_kind_conflict_raises(self):
         hub = TelemetryHub()
         hub.series("x", "rate")
         with pytest.raises(TypeError, match="already registered"):
             hub.series("x", "level")
-
-    def test_pump_polls_on_engine_cadence(self):
-        engine = Engine()
-        obs = Observability(engine=engine)
-        hub = obs.telemetry
-        engine.process(hub.pump(engine, interval_ns=1_000.0))
-        engine.run(until=10_500.0)
-        assert hub.polls == 11  # t=0 through t=10000
 
     def test_self_metering_exposed_via_registry(self):
         obs = Observability()
@@ -249,6 +235,114 @@ class TestHubWatchers:
         assert data["series"]["lat"]["kind"] == "sample"
         assert data["self"]["samples"] == 1
         assert "alerts" in data and "hotness" in data
+
+
+class TestClockFold:
+    """The hub folds on the engine clock: a watch, not an event."""
+
+    W = 1_000.0
+
+    def _engine_hub(self):
+        engine = Engine()
+        obs = Observability(engine=engine)
+        hub = obs.telemetry.configure(window_ns=self.W)
+        return engine, obs, hub
+
+    def test_rate_delta_lands_in_the_window_its_events_ran_in(self):
+        engine, obs, hub = self._engine_hub()
+        counter = obs.counter("ops")
+        hub.watch("ops", lambda: counter.value)
+
+        def worker():
+            yield engine.timeout(100.0)
+            counter.inc(3)  # window 0
+            yield engine.timeout(1_400.0)
+            counter.inc(5)  # window 1
+            yield engine.timeout(2_000.0)
+
+        engine.process(worker())
+        engine.run()
+        series = hub.get_series("ops")
+        totals = {st["index"]: st["total"]
+                  for st in map(series.window_stats, series.windows())}
+        assert totals[0] == 3.0 and totals[1] == 5.0
+        assert sum(totals.values()) == 8.0
+
+    def test_idle_stretch_folds_in_one_call(self):
+        def worker(engine):
+            yield engine.timeout(10.0)
+            yield engine.timeout(50 * self.W)
+
+        bare = Engine()
+        bare.process(worker(bare))
+        bare.run()
+        engine, obs, hub = self._engine_hub()
+        hub.watch("depth", lambda: 7.0, kind="level")
+        engine.process(worker(engine))
+        engine.run()
+        # One fold for the whole stretch, nothing put on the queue, and
+        # the clock ends on the last event, not on a telemetry tick.
+        assert hub.polls == 1
+        assert engine.events_processed == bare.events_processed
+        assert engine.now == 10.0 + 50 * self.W
+        # The one sample at the first crossed boundary holds for the
+        # whole stretch.
+        hub.finalize(engine.now)
+        series = hub.get_series("depth")
+        windows = [series.window_stats(w) for w in series.windows()]
+        assert [w["index"] for w in windows] == list(range(51))
+        assert all(w["mean"] == pytest.approx(7.0) for w in windows[1:-1])
+
+    def test_alert_closes_at_its_boundary_with_no_event_there(self):
+        engine, obs, hub = self._engine_hub()
+        obs.enable("alert")
+        obs.slo.set_policy("web", target_ns=10.0, objective=0.9)
+        hub.alerts.add_rule(BurnRateRule(
+            "web", fast_ns=2 * self.W, slow_ns=4 * self.W,
+            open_above=2.0, close_below=1.0, min_samples=5,
+        ))
+
+        def worker():
+            yield engine.timeout(100.0)
+            for _ in range(6):
+                obs.slo.record("web", 50.0)  # all misses: 10x burn
+            yield engine.timeout(20 * self.W)
+
+        engine.process(worker())
+        engine.run()
+        [alert] = hub.alerts.log
+        assert alert.opened_at == 100.0
+        # The misses sit in window 0; the slow window ages them out at
+        # the boundary 5W, where no event runs.
+        assert alert.closed_at == 5 * self.W
+        close = [e for e in obs.trace.events
+                 if e.category == "alert" and e.name == "close"]
+        assert [e.time for e in close] == [5 * self.W]
+        span = [e for e in obs.trace.events
+                if e.category == "alert" and e.name == "burn"]
+        assert span[0].time == 5 * self.W
+
+    def test_configure_moves_an_armed_cadence(self):
+        engine = Engine()
+        obs = Observability(engine=engine)
+        samples = []
+        obs.telemetry.watch("x", lambda: engine.now, kind="level",
+                            sink=lambda t, v: samples.append(t))
+        # Armed at the default width; narrowing re-arms the watch.
+        obs.telemetry.configure(window_ns=250.0)
+
+        def worker():
+            for _ in range(10):
+                yield engine.timeout(100.0)
+
+        engine.process(worker())
+        engine.run()
+        assert samples == [250.0, 500.0, 750.0, 1000.0]
+
+    def test_no_engine_means_no_watch(self):
+        obs = Observability()
+        obs.telemetry.watch("x", lambda: 1.0)
+        assert obs.telemetry._armed is False
 
 
 class TestSloFeedGating:
@@ -279,6 +373,9 @@ class _Clock:
 
     def __init__(self):
         self.now = 0.0
+
+    def watch_clock(self, at, fn):
+        """The hub's clock watch; these tests fold by calling ``poll``."""
 
 
 def _feed(obs, workload, now, latency, n):

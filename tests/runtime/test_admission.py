@@ -61,7 +61,8 @@ class TestRackDriver:
         assert waits[8] < waits[1]
 
     def test_utilization_sampled(self):
-        session = rack(max_concurrent=4, sample_interval_ns=10_000.0)
+        session = rack(max_concurrent=4)
+        session.obs.telemetry.configure(window_ns=10_000.0)
         arrivals = [(0.0, f"job{i}", small_job(f"job{i}", payload=64 * MiB))
                     for i in range(4)]
         stats = session.run_trace(arrivals)

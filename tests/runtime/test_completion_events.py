@@ -59,15 +59,14 @@ def watch(event, engine):
     return firings
 
 
-def record_processes(engine, wanted):
-    """Collect every process ``engine`` starts under the name ``wanted``."""
+def record_processes(engine):
+    """Collect every process ``engine`` starts, by name."""
     started = []
     spawn = engine.process
 
     def process(generator, name=""):
         proc = spawn(generator, name=name)
-        if name == wanted:
-            started.append(proc)
+        started.append((name, proc))
         return proc
 
     engine.process = process
@@ -166,21 +165,51 @@ class TestDrainByEvent:
 
 
 class TestNoSamplerOutlivesItsRun:
+    """Telemetry folds on a clock watch, so a run starts no rack sampler,
+    and no process it does start is still alive when it returns."""
+
     def test_run_trace_kills_the_rack_sampler(self):
         session = connect("pooled-rack", seed=5)
-        samplers = record_processes(session.cluster.engine, "rack-sampler")
+        started = record_processes(session.cluster.engine)
         session.run_trace(trace(3, "t"))
-        assert len(samplers) == 1
-        assert not samplers[0].is_alive
+        assert started
+        assert "rack-sampler" not in [name for name, _ in started]
+        assert [name for name, p in started if p.is_alive] == []
 
     def test_serve_kills_the_rack_sampler(self):
         session = connect("pooled-rack", seed=5)
         define_pd_pools(session.cluster)
-        samplers = record_processes(session.cluster.engine, "rack-sampler")
+        started = record_processes(session.cluster.engine)
         requests = llm_request_stream(
             6, seed=5, prompt_tail_tokens=(16, 64), output_tokens=(4, 16),
         )
         result = LLMEngine(session).serve(requests)
         assert result.completed == 6
-        assert len(samplers) == 1
-        assert not samplers[0].is_alive
+        assert started
+        assert "rack-sampler" not in [name for name, _ in started]
+        assert [name for name, p in started if p.is_alive] == []
+
+
+class TestClockEndsOnTheLastEvent:
+    """Telemetry folds on a clock watch, not on a sampler process, so
+    nothing is left queued past a run's last event."""
+
+    def test_run_trace_ends_at_the_last_finish(self):
+        session = connect("pooled-rack", seed=5)
+        stats = session.run_trace(trace(3, "t"))
+        assert stats.completed == 3
+        assert session.cluster.engine.now == max(
+            j.finished_at for j in stats.jobs
+        )
+
+    def test_serve_ends_at_the_last_finish(self):
+        session = connect("pooled-rack", seed=5)
+        define_pd_pools(session.cluster)
+        requests = llm_request_stream(
+            6, seed=5, prompt_tail_tokens=(16, 64), output_tokens=(4, 16),
+        )
+        result = LLMEngine(session).serve(requests)
+        assert result.completed == 6
+        assert session.cluster.engine.now == max(
+            r.finished_at for r in result.records
+        )

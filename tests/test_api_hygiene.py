@@ -204,6 +204,22 @@ def test_one_phase_record_and_one_hotness_tracker():
     assert not offenders, offenders
 
 
+def test_one_telemetry_cadence():
+    """The engine clock is the hub's only cadence: nothing under
+    ``src/`` keeps a sampling interval or a pump process, and only the
+    hub itself (its clock watch and ``finalize``) calls ``poll``."""
+    root = pathlib.Path(repro.__file__).parent
+    telemetry = root / "obs" / "telemetry.py"
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "sample_interval_ns" in line or ".pump(" in line
+        or (".poll(" in line and path != telemetry)
+    ]
+    assert not offenders, offenders
+
+
 def test_no_private_top_level_modules():
     """The deprecation plumbing module went with the shims it served."""
     top_level = {info.name for info in pkgutil.iter_modules(repro.__path__)}
